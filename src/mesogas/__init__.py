@@ -12,9 +12,8 @@ The package is organized bottom-up:
 * ``construction`` certified well-separated configurations near a target
 * ``cli``          configuration-driven command line (``mesogas ...``)
 
-Hot numeric kernels live in ``kernels`` and are compiled with numba when
-available; set ``MESOGAS_NUMBA=0`` to force the pure-numpy fallbacks
-(``python3 -m mesogas.bench`` compares the two).
+Hot numeric kernels (pair sums, smeared grid potentials, the Metropolis step
+loop) live in ``kernels``, each with one numpy implementation.
 """
 
 from .coulomb import SmearKind, SpaceParams, energy, interaction, potential_field
@@ -22,14 +21,13 @@ from .equilibrium import Potential, solve_equilibrium, solve_thermal
 from .grids import (AtomicMeasure, Box, GridMeasure, bl_distance, deposit,
                     dilate, entropy, mass, relative_entropy, resample,
                     restrict)
-from .kernels import NUMBA_ENABLED
 from .rates import ExteriorDomain, RateReport, n_rate, phi_rate, t_rate
 from .sampler import RegimeParams, gibbs_sample, hamiltonian, splitting_decompose
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicMeasure", "Box", "ExteriorDomain", "GridMeasure", "NUMBA_ENABLED",
+    "AtomicMeasure", "Box", "ExteriorDomain", "GridMeasure",
     "Potential", "RateReport", "RegimeParams", "SmearKind", "SpaceParams",
     "bl_distance", "deposit", "dilate", "energy", "entropy", "gibbs_sample",
     "hamiltonian", "interaction", "mass", "n_rate", "phi_rate",

@@ -48,8 +48,6 @@ from .coulomb import (SpaceParams, ball_self_energy, energy,
                       potential_at_points, potential_field)
 from .grids import AtomicMeasure, Box, GridMeasure, bl_distance, mass, resample
 
-PointConfiguration = AtomicMeasure
-
 
 # ---------------------------------------------------------------------------
 # tiling
@@ -251,8 +249,6 @@ def tau_values(counts: np.ndarray, cube_size: float, separation: float,
     return tau
 
 
-_tau = tau_values
-
 
 def _check_packing(n_j: int, cube_size: float, tau: float, d: int,
                    cube_index: int):
@@ -286,7 +282,7 @@ def place_points(counts: np.ndarray, tiling: CubeTiling, separation: float,
     d = tiling.d
     eta = tiling.size
     centers = tiling.centers()
-    taus = _tau(counts, eta, separation, d)
+    taus = tau_values(counts, eta, separation, d)
     total = int(counts.sum())
     out = np.empty((total, d))
     pos = 0
@@ -327,7 +323,7 @@ def _normalized(nu: GridMeasure) -> GridMeasure:
 def separation_radius(counts: np.ndarray, cube_size: float,
                       separation: float, d: int) -> float:
     """min_j tau_j over occupied cubes: the guaranteed global separation."""
-    taus = _tau(counts, cube_size, separation, d)
+    taus = tau_values(counts, cube_size, separation, d)
     occ = np.asarray(counts) > 0
     if not occ.any():
         return 0.0
@@ -392,7 +388,7 @@ def certify(configuration: AtomicMeasure, nu: GridMeasure, cube_size: float,
     counts = np.zeros(tiling.count, dtype=np.int64)
     inside = cube_idx >= 0
     np.add.at(counts, cube_idx[inside], 1)
-    taus = _tau(counts, eta, separation, d)
+    taus = tau_values(counts, eta, separation, d)
     tau_min = separation_radius(counts, eta, separation, d)
 
     min_sep = kernels.min_pairwise_distance(np.ascontiguousarray(pts)) \
@@ -523,7 +519,7 @@ def volume_estimate(nu: GridMeasure, mu_ref: GridMeasure, N: int,
     p = counts / N
     sanov = float(-(p[occ] * np.log(p[occ] / q[occ])).sum())
 
-    taus = _tau(counts, eta, separation, d)
+    taus = tau_values(counts, eta, separation, d)
     centers = tiling.centers()
     rng = np.random.default_rng(seed)
     loss = 0.0

@@ -142,6 +142,8 @@ class EquilibriumSolution:
 
 def _project_simplex(z: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection of z onto {x >= 0, sum x = total}."""
+    if total <= 0:
+        return np.zeros_like(z)
     srt = np.sort(z)[::-1]
     csum = np.cumsum(srt) - total
     idx = np.arange(1, z.size + 1)
@@ -168,32 +170,21 @@ def check_confining(V: Potential, like: GridMeasure) -> float:
     d = like.d
     r = V.equilibrium_radius(d)
     k = d * r ** (2 - d)
-    centers = like.cell_centers()
-    if like.cells_per_axis <= 2:
-        bpts = centers
-    else:
-        vals = np.zeros(like.density.shape)
-        mask = np.zeros(vals.shape, dtype=bool)
-        for ax in range(vals.ndim):
-            sl = [slice(None)] * vals.ndim
-            sl[ax] = 0
-            mask[tuple(sl)] = True
-            sl[ax] = vals.shape[ax] - 1
-            mask[tuple(sl)] = True
-        bpts = centers[mask.ravel()]
+    bpts = like.cell_centers()[_boundary_mask(like.density.shape).ravel()]
     field = 2.0 * ball_potential(np.linalg.norm(bpts, axis=1), r, d) + V(bpts)
     return float(np.min(field)) - k
 
 
-def _boundary_values(vals: np.ndarray) -> np.ndarray:
-    mask = np.zeros(vals.shape, dtype=bool)
-    for k in range(vals.ndim):
-        sl = [slice(None)] * vals.ndim
+def _boundary_mask(shape: tuple) -> np.ndarray:
+    """True on the cells of the outermost layer of a lattice of `shape`."""
+    mask = np.zeros(shape, dtype=bool)
+    for k in range(len(shape)):
+        sl = [slice(None)] * len(shape)
         sl[k] = 0
         mask[tuple(sl)] = True
-        sl[k] = vals.shape[k] - 1
+        sl[k] = shape[k] - 1
         mask[tuple(sl)] = True
-    return vals[mask]
+    return mask
 
 
 def solve_equilibrium(V: Potential, box: Box, cells_per_axis: int,
@@ -257,7 +248,8 @@ def solve_equilibrium(V: Potential, box: Box, cells_per_axis: int,
     supp = rho > support_tol * rho.max()
     k = float(np.sum(field[supp] * rho[supp]) / np.sum(rho[supp]))
     el = float(np.max(np.abs(field[supp] - k)))
-    if cells_per_axis > 2 and float(np.max(_boundary_values(rho))) > support_tol * rho.max():
+    edge = rho[_boundary_mask(rho.shape)]
+    if cells_per_axis > 2 and float(np.max(edge)) > support_tol * rho.max():
         warnings.warn("equilibrium support touches the box boundary; "
                       "enlarge the box")
     meas = like.with_density(rho, signed=False)
@@ -356,7 +348,7 @@ def solve_thermal(V: Potential, N: float, beta: float,
     k = 2.0 * e_val + int_v + ent_val / nb
     el = float(np.max(np.abs(2.0 * h + vgrid + L / nb - k)))
     if cells_per_axis > 2:
-        ratio = float(np.max(_boundary_values(rho))) / float(rho.max())
+        ratio = float(np.max(rho[_boundary_mask(rho.shape)])) / float(rho.max())
         if ratio > 1e-10:
             warnings.warn("thermal density is not negligible at the box "
                           f"boundary (ratio {ratio:.2e}); enlarge the box")

@@ -1,9 +1,4 @@
-"""Low-level numeric kernels: numba-accelerated with a pure-numpy fallback.
-
-The jitted path is the default. Set the environment variable MESOGAS_NUMBA=0
-(before import) to force the numpy implementations; everything downstream is
-unchanged. Accumulation order is fixed in both paths, so results are
-deterministic for a given seed.
+"""Low-level numeric kernels, written with numpy.
 
 Conventions shared by all kernels:
   * points are (n, d) float64 arrays, d >= 3
@@ -11,206 +6,20 @@ Conventions shared by all kernels:
   * a "smeared" evaluation replaces a point charge by the uniform ball of
     radius r around it; by Newton's theorem the resulting potential has the
     closed form used in `_ball_g` and is exact, not a quadrature.
+
+Accumulation order is fixed, so results are deterministic for a given seed.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("MESOGAS_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _flag not in ("0", "false", "no", "off")
-
+# Always False: there is no compiled implementation. perfbench/worker.py
+# reads this constant for the machine facts it records.
 NUMBA_ENABLED = False
-if _WANT_NUMBA:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
 
 
-# ---------------------------------------------------------------------------
-# loop implementations (jitted when numba is enabled)
-# ---------------------------------------------------------------------------
-
-@_njit(cache=True)
-def _loop_pairwise_g_sum(points, d):
-    n = points.shape[0]
-    dim = points.shape[1]
-    p = 0.5 * (2.0 - d)
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            r2 = 0.0
-            for k in range(dim):
-                dv = points[i, k] - points[j, k]
-                r2 += dv * dv
-            if r2 == 0.0:
-                return np.inf
-            total += 2.0 * r2 ** p
-    return total
-
-
-@_njit(cache=True)
-def _loop_min_pairwise_distance(points):
-    n = points.shape[0]
-    dim = points.shape[1]
-    best = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            r2 = 0.0
-            for k in range(dim):
-                dv = points[i, k] - points[j, k]
-                r2 += dv * dv
-            if r2 < best:
-                best = r2
-    return np.sqrt(best)
-
-
-@_njit(cache=True, inline="always")
-def _ball_g(r2, radius, d):
-    # potential of the unit-mass uniform ball of `radius` at squared distance r2
-    if r2 >= radius * radius:
-        return r2 ** (0.5 * (2.0 - d))
-    return (r2 + 0.5 * d * (radius * radius - r2)) / radius ** d
-
-
-@_njit(cache=True)
-def _loop_grid_potential_at_points(density, low, spacing, shape, points, radius, d):
-    """h at `points` from the grid measure, each point smeared at `radius`.
-
-    radius == 0 evaluates the raw kernel g(point - cell center).
-    """
-    npts = points.shape[0]
-    dim = low.shape[0]
-    ncells = density.shape[0]
-    cellvol = 1.0
-    for k in range(dim):
-        cellvol *= spacing[k]
-    out = np.zeros(npts)
-    for q in range(npts):
-        acc = 0.0
-        for ci in range(ncells):
-            rho = density[ci]
-            if rho == 0.0:
-                continue
-            tmp = ci
-            r2 = 0.0
-            for k in range(dim - 1, -1, -1):
-                ik = tmp % shape[k]
-                tmp //= shape[k]
-                c = low[k] + (ik + 0.5) * spacing[k]
-                dv = points[q, k] - c
-                r2 += dv * dv
-            if radius > 0.0:
-                acc += rho * _ball_g(r2, radius, d)
-            else:
-                if r2 == 0.0:
-                    acc = np.inf
-                    break
-                acc += rho * r2 ** (0.5 * (2.0 - d))
-        out[q] = acc * cellvol
-    return out
-
-
-@_njit(cache=True)
-def _loop_atoms_potential_on_grid(atoms, weight, low, spacing, shape, ncells, radius, d):
-    """Field of smeared atoms sampled at every cell center, flat row-major."""
-    natoms = atoms.shape[0]
-    dim = low.shape[0]
-    out = np.zeros(ncells)
-    for ci in range(ncells):
-        tmp = ci
-        acc = 0.0
-        # decode the cell center once, then sweep atoms
-        cx = np.empty(dim)
-        for k in range(dim - 1, -1, -1):
-            ik = tmp % shape[k]
-            tmp //= shape[k]
-            cx[k] = low[k] + (ik + 0.5) * spacing[k]
-        for a in range(natoms):
-            r2 = 0.0
-            for k in range(dim):
-                dv = cx[k] - atoms[a, k]
-                r2 += dv * dv
-            if radius > 0.0:
-                acc += _ball_g(r2, radius, d)
-            else:
-                if r2 == 0.0:
-                    return out * np.nan
-                acc += r2 ** (0.5 * (2.0 - d))
-        out[ci] = weight * acc
-    return out
-
-
-@_njit(cache=True)
-def _loop_run_chain_quadratic(x, scale, beta, nweight, vcoef, d,
-                              normals, unifs, sites, ham_in):
-    """Single-site Metropolis steps for V(x) = vcoef*|x|^2.
-
-    Mutates x in place; returns (accepted moves, hamiltonian after the block).
-    Coincident proposals are rejected outright.
-    """
-    nsteps = normals.shape[0]
-    n = x.shape[0]
-    dim = x.shape[1]
-    p = 0.5 * (2.0 - d)
-    accepted = 0
-    ham = ham_in
-    for t in range(nsteps):
-        i = sites[t]
-        dpair = 0.0
-        vold = 0.0
-        vnew = 0.0
-        bad = False
-        for k in range(dim):
-            xo = x[i, k]
-            xn = xo + scale * normals[t, k]
-            vold += xo * xo
-            vnew += xn * xn
-        for j in range(n):
-            if j == i:
-                continue
-            r2o = 0.0
-            r2n = 0.0
-            for k in range(dim):
-                dvo = x[i, k] - x[j, k]
-                dvn = x[i, k] + scale * normals[t, k] - x[j, k]
-                r2o += dvo * dvo
-                r2n += dvn * dvn
-            if r2n == 0.0:
-                bad = True
-                break
-            dpair += 2.0 * (r2n ** p - r2o ** p)
-        if bad:
-            continue
-        dham = dpair + nweight * vcoef * (vnew - vold)
-        if dham <= 0.0 or unifs[t] < np.exp(-beta * dham):
-            for k in range(dim):
-                x[i, k] += scale * normals[t, k]
-            ham += dham
-            accepted += 1
-    return accepted, ham
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-# ---------------------------------------------------------------------------
-
-def _np_pairwise_g_sum(points, d):
+def pairwise_g_sum(points, d):
     n = points.shape[0]
     if n < 2:
         return 0.0
@@ -223,7 +32,7 @@ def _np_pairwise_g_sum(points, d):
     return float(2.0 * np.sum(vals ** (0.5 * (2.0 - d))))
 
 
-def _np_min_pairwise_distance(points):
+def min_pairwise_distance(points):
     n = points.shape[0]
     if n < 2:
         return np.inf
@@ -233,7 +42,8 @@ def _np_min_pairwise_distance(points):
     return float(np.sqrt(np.min(r2[iu])))
 
 
-def _np_ball_g(r2, radius, d):
+def _ball_g(r2, radius, d):
+    # potential of the unit-mass uniform ball of `radius` at squared distance r2
     r2 = np.asarray(r2, dtype=float)
     out = np.empty_like(r2)
     far = r2 >= radius * radius
@@ -248,7 +58,11 @@ def _cell_centers(low, spacing, shape):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _np_grid_potential_at_points(density, low, spacing, shape, points, radius, d):
+def grid_potential_at_points(density, low, spacing, shape, points, radius, d):
+    """h at `points` from the grid measure, each point smeared at `radius`.
+
+    radius == 0 evaluates the raw kernel g(point - cell center).
+    """
     centers = _cell_centers(low, spacing, tuple(shape))
     cellvol = float(np.prod(spacing))
     out = np.zeros(points.shape[0])
@@ -259,7 +73,7 @@ def _np_grid_potential_at_points(density, low, spacing, shape, points, radius, d
         diff = centers - points[q]
         r2 = np.einsum("ik,ik->i", diff, diff)
         if radius > 0.0:
-            vals = _np_ball_g(r2, radius, d)
+            vals = _ball_g(r2, radius, d)
         else:
             if np.any(r2 == 0.0):
                 out[q] = np.inf
@@ -269,14 +83,15 @@ def _np_grid_potential_at_points(density, low, spacing, shape, points, radius, d
     return out
 
 
-def _np_atoms_potential_on_grid(atoms, weight, low, spacing, shape, ncells, radius, d):
+def atoms_potential_on_grid(atoms, weight, low, spacing, shape, ncells, radius, d):
+    """Field of smeared atoms sampled at every cell center, flat row-major."""
     centers = _cell_centers(low, spacing, tuple(shape))
     out = np.zeros(ncells)
     for a in range(atoms.shape[0]):
         diff = centers - atoms[a]
         r2 = np.einsum("ik,ik->i", diff, diff)
         if radius > 0.0:
-            out += _np_ball_g(r2, radius, d)
+            out += _ball_g(r2, radius, d)
         else:
             if np.any(r2 == 0.0):
                 return out * np.nan
@@ -284,8 +99,15 @@ def _np_atoms_potential_on_grid(atoms, weight, low, spacing, shape, ncells, radi
     return weight * out
 
 
-def _np_run_chain_quadratic(x, scale, beta, nweight, vcoef, d,
-                            normals, unifs, sites, ham_in):
+def run_chain_quadratic(x, scale, beta, nweight, vcoef, d,
+                        normals, unifs, sites, ham_in, V=None):
+    """Single-site Metropolis steps for V(x) = vcoef*|x|^2, or for a callable V.
+
+    The confinement increment is nweight*vcoef*(|new|^2 - |old|^2); when V
+    is given it is nweight*(V(new) - V(old)) instead and vcoef is unused.
+    Mutates x in place; returns (accepted moves, hamiltonian after the block).
+    Coincident proposals are rejected outright.
+    """
     nsteps = normals.shape[0]
     p = 0.5 * (2.0 - d)
     accepted = 0
@@ -300,27 +122,12 @@ def _np_run_chain_quadratic(x, scale, beta, nweight, vcoef, d,
         if np.any(r2n == 0.0):
             continue
         dpair = 2.0 * float(np.sum(r2n ** p - r2o ** p))
-        dham = dpair + nweight * vcoef * float(new @ new - old @ old)
+        if V is None:
+            dham = dpair + nweight * vcoef * float(new @ new - old @ old)
+        else:
+            dham = dpair + nweight * float(V(new[None, :])[0] - V(old[None, :])[0])
         if dham <= 0.0 or unifs[t] < np.exp(-beta * dham):
             x[i] = new
             ham += dham
             accepted += 1
     return accepted, ham
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    pairwise_g_sum = _loop_pairwise_g_sum
-    min_pairwise_distance = _loop_min_pairwise_distance
-    grid_potential_at_points = _loop_grid_potential_at_points
-    atoms_potential_on_grid = _loop_atoms_potential_on_grid
-    run_chain_quadratic = _loop_run_chain_quadratic
-else:
-    pairwise_g_sum = _np_pairwise_g_sum
-    min_pairwise_distance = _np_min_pairwise_distance
-    grid_potential_at_points = _np_grid_potential_at_points
-    atoms_potential_on_grid = _np_atoms_potential_on_grid
-    run_chain_quadratic = _np_run_chain_quadratic

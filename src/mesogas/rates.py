@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coulomb import grid_kernel, potential_field
-from .grids import AtomicMeasure, Box, GridMeasure, mass, relative_entropy
-from .kernels import pairwise_g_sum
+from .coulomb import grid_kernel
+from .equilibrium import _project_simplex
+from .grids import Box, GridMeasure, mass, relative_entropy
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +195,7 @@ def _phi_solve(mu: GridMeasure, background, domain: ExteriorDomain,
         p = np.maximum(p, 0.0)
         p[~ext] = 0.0
         if mass_cap is not None and p.sum() * dv > mass_cap:
-            flat = _project_simplex_cap(p[ext], mass_cap / dv)
+            flat = _project_simplex(p[ext], mass_cap / dv)
             p = np.zeros_like(p)
             p[ext] = flat
         return p
@@ -262,19 +262,6 @@ def _phi_kkt(phi, grad, ext, dv, mass_cap) -> float:
     if np.any(~free):
         r = max(r, float(max(0.0, -np.min(g[~free]))))
     return r
-
-
-def _project_simplex_cap(z: np.ndarray, total: float) -> np.ndarray:
-    """Projection onto {x >= 0, sum x = total} (for the active mass cap)."""
-    if total <= 0:
-        return np.zeros_like(z)
-    srt = np.sort(z)[::-1]
-    csum = np.cumsum(srt) - total
-    idx = np.arange(1, z.size + 1)
-    cond = srt - csum / idx > 0
-    rho = idx[cond][-1]
-    theta = csum[cond][-1] / rho
-    return np.maximum(z - theta, 0.0)
 
 
 def phi_rate(mu: GridMeasure, alpha, domain: ExteriorDomain,
@@ -382,11 +369,10 @@ def alpha_minimizer(i_N: float, N: float, thermal_sol,
     return float(alpha), rho_star
 
 
-def _t_minimize(q_fixed: np.ndarray, lin_extra: np.ndarray | None,
-                const_extra: float, logw: np.ndarray, target_mass: float,
+def _t_minimize(q_fixed: np.ndarray, logw: np.ndarray, target_mass: float,
                 domain: ExteriorDomain, include_energy: bool,
                 tol: float, max_iter: int) -> tuple[np.ndarray, float, float, int]:
-    """Entropic mirror descent for min_nu E(q_fixed+nu) + <lin,nu> + ent[nu|w].
+    """Entropic mirror descent for min_nu E(q_fixed+nu) + ent[nu|w].
 
     nu lives on exterior cells with exact mass target_mass (renormalized
     every step). The iterate is kept as log nu on the cells where w > 0
@@ -403,7 +389,6 @@ def _t_minimize(q_fixed: np.ndarray, lin_extra: np.ndarray | None,
         raise ValueError("dilated measure vanishes on the whole exterior")
     flat_idx = flat_idx[keep]
     logw_c = logw_ext[keep]
-    lin_c = None if lin_extra is None else lin_extra.ravel()[flat_idx]
 
     def normalize(Lv):
         m = Lv.max()
@@ -416,9 +401,7 @@ def _t_minimize(q_fixed: np.ndarray, lin_extra: np.ndarray | None,
         return nu.reshape(shape)
 
     def objective(Lv, nu_c, nu_full):
-        val = float(np.sum(nu_c * (Lv - logw_c)) * dv) + const_extra
-        if lin_c is not None:
-            val += float(np.sum(lin_c * nu_c) * dv)
+        val = float(np.sum(nu_c * (Lv - logw_c)) * dv)
         if include_energy:
             q = q_fixed + nu_full
             h = ker.potential(q)
@@ -428,8 +411,6 @@ def _t_minimize(q_fixed: np.ndarray, lin_extra: np.ndarray | None,
 
     def grad(Lv, h):
         g = (Lv - logw_c) + 1.0
-        if lin_c is not None:
-            g = g + lin_c
         if include_energy and h is not None:
             g = g + 2.0 * h.ravel()[flat_idx]
         return g
@@ -503,7 +484,7 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
 
     q_fixed = domain.embed(mu) - w
     nu, obj, kkt, it = _t_minimize(
-        q_fixed, None, 0.0, logw, target, domain, include_energy, tol, max_iter)
+        q_fixed, logw, target, domain, include_energy, tol, max_iter)
 
     ker = grid_kernel(domain.layout)
     q = q_fixed + nu
@@ -528,39 +509,6 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
                       extras=extras)
 
 
-def t_rate_atomic(atoms: AtomicMeasure, params, thermal_sol,
-                  domain: ExteriorDomain, tol: float = 1e-8,
-                  max_iter: int = 2000) -> RateReport:
-    """The off-diagonal variant of t_rate for an atomic window measure.
-
-    The interior Coulomb self-interaction drops the diagonal (finite for
-    atoms); atom-to-continuum cross terms use atoms smeared at one cell
-    diagonal, the same convention as the rest of the energy module.
-    """
-    N, lam = float(params.N), float(params.lam)
-    w, logw = blowup_on_domain(thermal_sol, N, lam, domain)
-    dv = domain.layout.cell_volume
-    covered = float(np.sum(w) * dv)
-    mu_mass = atoms.weight * atoms.count
-    target = covered - mu_mass
-    if target <= 0:
-        raise ValueError("window mass exceeds the dilated thermal mass")
-
-    pair = atoms.weight ** 2 * pairwise_g_sum(
-        np.ascontiguousarray(atoms.points, dtype=float), domain.d)
-    h_at = potential_field(atoms, domain.layout).density
-    const = float(pair) - 2.0 * float(np.sum(h_at * w) * dv)
-    q_fixed = -w
-    nu, obj, kkt, it = _t_minimize(
-        q_fixed, 2.0 * h_at, const, logw, target, domain, True, tol, max_iter)
-
-    minimizer = domain.exterior_measure(nu)
-    return RateReport(functional="T", value=obj, minimizer=minimizer,
-                      iterations=it, kkt_residual=kkt,
-                      mass_error=abs(float(np.sum(nu) * dv) - target),
-                      extras={"pair_term": float(pair)})
-
-
 def phi_background_gap(rho: GridMeasure, params, thermal_sol,
                        domain: ExteriorDomain, tol: float = 1e-8,
                        max_iter: int = 5000) -> float:
@@ -574,25 +522,3 @@ def phi_background_gap(rho: GridMeasure, params, thermal_sol,
     a = phi_rate(rho, mu_v0, domain, tol, max_iter).value
     b = phi_rate(rho, w, domain, tol, max_iter).value
     return abs(a - b)
-
-
-def t_stability_check(mu: GridMeasure, atomic_sequence, params_sequence,
-                      thermal_sequence, domain: ExteriorDomain,
-                      tol: float = 1e-7, max_iter: int = 2000) -> list[float]:
-    """T(mu) - T_offdiag(mu_N) along a sequence of atomic approximations.
-
-    Entries of atomic_sequence may be GridMeasure (degenerate test mode,
-    evaluated with t_rate so mu_N = mu gives exactly zero difference).
-    """
-    out = []
-    for mu_n, params, th in zip(atomic_sequence, params_sequence,
-                                thermal_sequence):
-        base = t_rate(mu, params, th, domain, tol=tol, max_iter=max_iter)
-        if isinstance(mu_n, GridMeasure):
-            other = t_rate(mu_n, params, th, domain, tol=tol,
-                           max_iter=max_iter)
-        else:
-            other = t_rate_atomic(mu_n, params, th, domain, tol=tol,
-                                  max_iter=max_iter)
-        out.append(base.value - other.value)
-    return out

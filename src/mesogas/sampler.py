@@ -110,11 +110,6 @@ class RegimeParams:
         }
 
 
-def knb_log_bound(params: RegimeParams, C: float = 1.0) -> float:
-    """Documented sanity threshold |log K_{N,beta}| <= C beta N^{2-2/d}."""
-    return C * params.beta * float(params.N) ** (2.0 - 2.0 / params.d)
-
-
 def hamiltonian(X: np.ndarray, V, N: int, d: int | None = None) -> float:
     """Ordered-pair interaction energy plus N-weighted confinement.
 
@@ -216,32 +211,6 @@ def _propose_batch(rng, n_props: int, N: int, d: int):
     return sites, normals, unifs
 
 
-def _run_batch_python(x, scale, beta, N, V, d, sites, normals, unifs, ham):
-    accepted = 0
-    for t in range(len(sites)):
-        i = sites[t]
-        old = x[i].copy()
-        new = old + scale * normals[t]
-        diff = x - new
-        diff[i] = np.inf
-        r2n = np.einsum("ij,ij->i", diff, diff)
-        if np.any(r2n[np.arange(len(x)) != i] == 0.0):
-            continue
-        diff_o = x - old
-        diff_o[i] = np.inf
-        r2o = np.einsum("ij,ij->i", diff_o, diff_o)
-        p = (2.0 - d) / 2.0
-        mask = np.arange(len(x)) != i
-        dpair = 2.0 * float(np.sum(r2n[mask] ** p - r2o[mask] ** p))
-        dv = float(N) * float(V(new[None, :])[0] - V(old[None, :])[0])
-        dham = dpair + dv
-        if dham <= 0 or unifs[t] < math.exp(-beta * dham):
-            x[i] = new
-            ham += dham
-            accepted += 1
-    return accepted, ham
-
-
 def gibbs_sample(params: RegimeParams, V, steps: int, burn_in: int,
                  seed: int, chain_index: int = 0,
                  initial: np.ndarray | None = None) -> list[ChainState]:
@@ -278,15 +247,13 @@ def gibbs_sample(params: RegimeParams, V, steps: int, burn_in: int,
     out: list[ChainState] = []
     tune_window = max(50, 10 * N)
 
+    vcoef, general_v = (float(V.coef), None) if quadratic else (0.0, V)
+
     def run(n_props, cur_scale, cur_ham):
         sites, normals, unifs = _propose_batch(rng, n_props, N, d)
-        if quadratic:
-            acc, new_ham = kernels.run_chain_quadratic(
-                x, cur_scale, beta, float(N), float(V.coef), d,
-                normals, unifs, sites, cur_ham)
-        else:
-            acc, new_ham = _run_batch_python(
-                x, cur_scale, beta, N, V, d, sites, normals, unifs, cur_ham)
+        acc, new_ham = kernels.run_chain_quadratic(
+            x, cur_scale, beta, float(N), vcoef, d,
+            normals, unifs, sites, cur_ham, V=general_v)
         return int(acc), float(new_ham)
 
     # burn-in with scale tuning

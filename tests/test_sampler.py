@@ -110,6 +110,33 @@ def test_gibbs_energy_bookkeeping_stays_consistent(quad):
     assert last.hamiltonian == pytest.approx(fresh, rel=1e-8)
 
 
+def test_callable_potential_chain_matches_quadratic(quad):
+    """A plain callable V steps through the general-V branch of the step
+    loop; for V = |x|^2 it reproduces the quadratic chain exactly."""
+    p = make_params(N=16)
+    plain = gibbs_sample(p, lambda q: np.einsum("ik,ik->i", q, q),
+                         40 * 16, 20 * 16, seed=5, chain_index=1)
+    ref = gibbs_sample(p, quad, 40 * 16, 20 * 16, seed=5, chain_index=1)
+    assert [s.accepted for s in plain] == [s.accepted for s in ref]
+    assert all(np.array_equal(a.points, b.points) for a, b in zip(plain, ref))
+
+
+def test_tabulated_potential_chain_keeps_hamiltonian(quad):
+    """60 sampling sweeps pass the every-25-sweeps exact recheck twice."""
+    p = make_params(N=16)
+    like = GridMeasure.zeros(Box.cube(np.zeros(3), 3.0), 8)
+    tab = Potential("tabulated",
+                    table=like.with_density(quad.on_grid(like), signed=False))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        states = gibbs_sample(p, tab, 80 * 16, 20 * 16, seed=6)
+    assert len(states) == 60
+    assert not [w for w in caught if "drift" in str(w.message)]
+    last = states[-1]
+    assert last.hamiltonian == pytest.approx(hamiltonian(last.points, tab, 16),
+                                             rel=1e-8)
+
+
 def test_single_particle_chain_matches_gaussian(quad):
     """At N=1 the Gibbs law is exp(-V), a centered Gaussian."""
     p = make_params(N=1, gamma=0.5, lam=0.1)
