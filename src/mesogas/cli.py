@@ -57,8 +57,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 

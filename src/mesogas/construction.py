@@ -46,7 +46,8 @@ from scipy.special import gammaln
 from . import kernels
 from .coulomb import (SpaceParams, ball_self_energy, energy,
                       potential_at_points, potential_field)
-from .grids import AtomicMeasure, Box, GridMeasure, bl_distance, mass, resample
+from .grids import (AtomicMeasure, Box, GridMeasure, _lattice_centers,
+                    bl_distance, mass, resample)
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +74,8 @@ class CubeTiling:
         return float(2.0 * self.box.half_width[0] / self.per_axis)
 
     def centers(self) -> np.ndarray:
-        low = self.box.low
-        h = self.size
-        axes = tuple(low[k] + (np.arange(self.per_axis) + 0.5) * h
-                     for k in range(self.d))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _lattice_centers(self.box.low, np.full(self.d, self.size),
+                                self.per_axis)
 
     def cube_of(self, points: np.ndarray) -> np.ndarray:
         """Flat index of the cube containing each point, -1 outside."""

@@ -226,6 +226,15 @@ class GridKernel:
         sl = tuple(slice(0, self.n) for _ in range(self.d))
         return conv[sl] * self.cell_volume
 
+    @property
+    def lipschitz(self) -> float:
+        """Largest |eigenvalue| of the padded circulant kernel K.
+
+        potential() is linear with norm at most cell_volume * lipschitz, so
+        the gradient of energy() is Lipschitz with 2 cell_volume^2 * lipschitz.
+        """
+        return float(np.max(np.abs(self._Kf)))
+
     def energy(self, rho: np.ndarray) -> float:
         return float(np.sum(rho * self.potential(rho)) * self.cell_volume)
 
@@ -283,10 +292,8 @@ def potential_field(m: Measure, like: GridMeasure,
         return grid_kernel(like).potential(m.density)
     radius = default_smear_radius(like) if smear_radius is None else float(smear_radius)
     flat = kernels.atoms_potential_on_grid(
-        np.ascontiguousarray(m.points), m.weight,
-        like.box.low, like.spacing,
-        np.asarray(like.density.shape, dtype=np.int64),
-        like.density.size, radius, float(like.d))
+        np.ascontiguousarray(m.points), m.weight, like.cell_centers(),
+        radius, float(like.d))
     return flat.reshape(like.density.shape)
 
 
@@ -299,8 +306,8 @@ def potential_at_points(m: GridMeasure, points: np.ndarray,
     radius = default_smear_radius(m) if smear_radius is None else float(smear_radius)
     pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
     return kernels.grid_potential_at_points(
-        np.ascontiguousarray(m.density.ravel()), m.box.low, m.spacing,
-        np.asarray(m.density.shape, dtype=np.int64), pts, radius, float(m.d))
+        np.ascontiguousarray(m.density.ravel()), m.cell_centers(),
+        m.cell_volume, pts, radius, float(m.d))
 
 
 def energy(m: Measure, smear: SmearKind | None = None) -> float:

@@ -3,19 +3,24 @@
 Two variational problems over probability densities on a box grid:
 
 * ``solve_equilibrium`` minimizes  I_V(mu) = E(mu) + int V dmu
-  (projected gradient with Barzilai-Borwein steps and a simplex projection).
+  by ``_projected_gradient`` (Barzilai-Borwein steps, a nonmonotone line
+  search and a simplex projection).
   At the minimizer the Euler-Lagrange conditions hold: 2 h^mu + V = k on the
   support, >= k off it. For V = |x|^2 in d = 3 the density is the constant
   Delta V / (2 |c_d|) = 3/(4 pi) on the unit ball.
 
 * ``solve_thermal`` minimizes  E_beta(mu) = I_V(mu) + 1/(N beta) * ent[mu]
   by the damped fixed point  mu <- normalize(exp(-N beta (2 h^mu + V))),
-  run in log space (this is mirror descent on E_beta, so a backtracking line
-  search on the objective gives monotone convergence). The density is
+  run in log space by ``_mirror_descent`` (this is mirror descent on E_beta,
+  so a backtracking line search on the objective gives monotone
+  convergence). The density is
   strictly positive everywhere and the Euler-Lagrange equation
   2 h^mu + V + (1/(N beta)) log mu = k  holds with
   k = 2 E(mu) + int V dmu + (1/(N beta)) ent[mu]  (multiply by mu and
   integrate; mass one).
+
+The two loops are shared with ``rates``: ``phi_rate`` runs the projected
+gradient and ``t_rate`` the mirror descent, each with its own closures.
 
 The solution object keeps the log density: downstream rate functionals need
 log mu_beta far into the tail, where the density itself underflows.
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coulomb import GridKernel, SpaceParams, grid_kernel
-from .grids import Box, GridMeasure, mass
+from .grids import Box, GridMeasure
 
 
 @dataclass(frozen=True)
@@ -187,6 +192,90 @@ def _boundary_mask(shape: tuple) -> np.ndarray:
     return mask
 
 
+def _projected_gradient(x, evaluate, gradient, project, residual,
+                        lip: float, tol: float, max_iter: int):
+    """Projected gradient with Barzilai-Borwein steps and a nonmonotone
+    (Grippo-Lampariello-Lucidi, memory 10) backtracking line search.
+
+    evaluate(x) -> (objective, aux); gradient(aux) is the gradient at the
+    point aux was evaluated at; project(z) maps onto the feasible set. The
+    first step is 1/lip. Every 5 iterations (and at the last) the loop stops
+    once residual(x, aux) < tol. Returns (x, aux, objective, iterations).
+    """
+    obj, aux = evaluate(x)
+    step = 1.0 / lip
+    memory = [obj]
+    x_prev = g_prev = None
+    it = 0
+    for it in range(1, max_iter + 1):
+        g = gradient(aux)
+        if x_prev is not None:
+            ds, dg = x - x_prev, g - g_prev
+            denom = float(ds @ dg)
+            if denom > 0:
+                step = float(ds @ ds) / denom
+        x_prev, g_prev = x, g
+        ref = max(memory[-10:])
+        while True:
+            cand = project(x - step * g)
+            obj_c, aux_c = evaluate(cand)
+            if obj_c <= ref + 1e-14 * abs(ref) or step < 1e-18:
+                break
+            step *= 0.5
+        x, aux, obj = cand, aux_c, obj_c
+        memory.append(obj)
+        if (it % 5 == 0 or it == max_iter) and residual(x, aux) < tol:
+            break
+    return x, aux, obj, it
+
+
+def _log_normalize(L: np.ndarray, dv: float, log_mass: float = 0.0) -> np.ndarray:
+    """Shift the log density L so that its integral is exp(log_mass)."""
+    m = L.max()
+    z = m + np.log(np.sum(np.exp(L - m)) * dv)
+    return L - z + log_mass
+
+
+def _mirror_descent(L, evaluate, target, normalize, residual, tol: float,
+                    max_iter: int, s_min: float, s_max: float, grow: float):
+    """Entropic mirror descent (Beck-Teboulle 2003) on a log density L.
+
+    Each step is the damped fixed point L <- normalize((1-s) L + s t) with
+    t = target(aux): L - t is the objective's gradient in log coordinates,
+    up to a positive factor and a constant that normalize() removes.
+    evaluate(L) -> (objective, aux). The step s starts at 0.5, halves until
+    the objective does not increase, and grows by `grow` (up to s_max) after
+    three accepted steps in a row. The loop stops when the line search fails
+    (s < s_min), when an accepted step moves L by less than 1e-13, or when
+    residual(L, aux) < tol, checked every 5 iterations.
+    Returns (L, aux, objective, iterations).
+    """
+    obj, aux = evaluate(L)
+    s = 0.5
+    streak = 0
+    it = 0
+    for it in range(1, max_iter + 1):
+        t = target(aux)
+        while s >= s_min:
+            cand = normalize((1.0 - s) * L + s * t)
+            obj_c, aux_c = evaluate(cand)
+            if obj_c <= obj + 1e-14 * abs(obj):
+                break
+            s *= 0.5
+            streak = 0
+        else:
+            break
+        delta = float(np.max(np.abs(cand - L)))
+        L, aux, obj = cand, aux_c, obj_c
+        streak += 1
+        if streak >= 3:
+            s = min(s * grow, s_max)
+            streak = 0
+        if delta < 1e-13 or (it % 5 == 0 and residual(L, aux) < tol):
+            break
+    return L, aux, obj, it
+
+
 def solve_equilibrium(V: Potential, box: Box, cells_per_axis: int,
                       tol: float = 1e-4, max_iter: int = 4000,
                       support_tol: float = 1e-6) -> EquilibriumSolution:
@@ -198,57 +287,31 @@ def solve_equilibrium(V: Potential, box: Box, cells_per_axis: int,
         warnings.warn("potential may not confine the gas inside the box "
                       f"(margin {margin:.3g})")
     vgrid = V.on_grid(like)
+    shape = vgrid.shape
     dv = like.cell_volume
     total = 1.0 / dv
 
-    rho = np.full(like.density.shape, total / like.density.size)
-    h = ker.potential(rho)
+    def evaluate(x):
+        r = x.reshape(shape)
+        h = ker.potential(r)
+        return float(np.sum(r * h) * dv + np.sum(vgrid * r) * dv), h
 
-    def objective(r, hh):
-        return float(np.sum(r * hh) * dv + np.sum(vgrid * r) * dv)
+    def el_of(x, h):
+        r = x.reshape(shape)
+        field = 2.0 * h + vgrid
+        supp = r > support_tol * r.max()
+        k = float(np.sum(field[supp] * r[supp]) / np.sum(r[supp]))
+        return k, float(np.max(np.abs(field[supp] - k))), supp
 
-    obj = objective(rho, h)
-    lip = 2.0 * dv * dv * float(np.max(np.abs(ker._Kf)))
-    step = 1.0 / lip
-    memory = [obj]
-    rho_prev = None
-    grad_prev = None
-    el = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        grad = dv * (2.0 * h + vgrid)
-        if rho_prev is not None:
-            ds = (rho - rho_prev).ravel()
-            dg = (grad - grad_prev).ravel()
-            denom = float(ds @ dg)
-            if denom > 0:
-                step = float(ds @ ds) / denom
-        rho_prev, grad_prev = rho, grad
-        ref = max(memory[-10:])
-        while True:
-            cand = _project_simplex((rho - step * grad).ravel(), total)
-            cand = cand.reshape(rho.shape)
-            h_cand = ker.potential(cand)
-            obj_cand = objective(cand, h_cand)
-            if obj_cand <= ref + 1e-14 * abs(ref) or step < 1e-18:
-                break
-            step *= 0.5
-        rho, h, obj = cand, h_cand, obj_cand
-        memory.append(obj)
-
-        if it % 5 == 0 or it == max_iter:
-            field = 2.0 * h + vgrid
-            supp = rho > support_tol * rho.max()
-            k = float(np.sum(field[supp] * rho[supp]) / np.sum(rho[supp]))
-            el = float(np.max(np.abs(field[supp] - k)))
-            if el < tol:
-                break
-
-    field = 2.0 * h + vgrid
-    supp = rho > support_tol * rho.max()
-    k = float(np.sum(field[supp] * rho[supp]) / np.sum(rho[supp]))
-    el = float(np.max(np.abs(field[supp] - k)))
-    edge = rho[_boundary_mask(rho.shape)]
+    x, h, obj, it = _projected_gradient(
+        np.full(vgrid.size, total / vgrid.size), evaluate,
+        lambda h: (dv * (2.0 * h + vgrid)).ravel(),
+        lambda z: _project_simplex(z, total),
+        lambda x, h: el_of(x, h)[1],
+        2.0 * dv * dv * ker.lipschitz, tol, max_iter)
+    rho = x.reshape(shape)
+    k, el, supp = el_of(x, h)
+    edge = rho[_boundary_mask(shape)]
     if cells_per_axis > 2 and float(np.max(edge)) > support_tol * rho.max():
         warnings.warn("equilibrium support touches the box boundary; "
                       "enlarge the box")
@@ -292,61 +355,26 @@ def solve_thermal(V: Potential, N: float, beta: float,
     vgrid = V.on_grid(like)
     dv = like.cell_volume
 
-    def normalize(L):
-        m = L.max()
-        z = m + np.log(np.sum(np.exp(L - m)) * dv)
-        return L - z
+    def evaluate(L):
+        rho = np.exp(L)
+        h = ker.potential(rho)
+        obj = float(np.sum(rho * h) * dv + np.sum(vgrid * rho) * dv
+                    + np.sum(rho * L) * dv / nb)
+        return obj, (rho, h)
 
-    L = normalize(-nb * vgrid)
-    rho = np.exp(L)
-    h = ker.potential(rho)
+    def el_of(L, aux):
+        rho, h = aux
+        k = (2.0 * float(np.sum(rho * h) * dv) + float(np.sum(vgrid * rho) * dv)
+             + float(np.sum(rho * L) * dv) / nb)
+        return k, float(np.max(np.abs(2.0 * h + vgrid + L / nb - k)))
 
-    def objective(r, LL, hh):
-        return float(np.sum(r * hh) * dv + np.sum(vgrid * r) * dv
-                     + np.sum(r * LL) * dv / nb)
-
-    obj = objective(rho, L, h)
-    s = 0.5
-    streak = 0
-    el = np.inf
-    k = 0.0
-    it = 0
-    for it in range(1, max_iter + 1):
-        target = -nb * (2.0 * h + vgrid)
-        accepted = False
-        while s >= 1e-4:
-            L_cand = normalize((1.0 - s) * L + s * target)
-            rho_cand = np.exp(L_cand)
-            h_cand = ker.potential(rho_cand)
-            obj_cand = objective(rho_cand, L_cand, h_cand)
-            if obj_cand <= obj + 1e-14 * abs(obj):
-                accepted = True
-                break
-            s *= 0.5
-            streak = 0
-        if not accepted:
-            L_cand, rho_cand, h_cand, obj_cand = L, rho, h, obj
-        delta = float(np.max(np.abs(L_cand - L)))
-        L, rho, h, obj = L_cand, rho_cand, h_cand, obj_cand
-        streak += 1
-        if streak >= 3:
-            s = min(s * 1.3, 0.95)
-            streak = 0
-
-        if it % 5 == 0 or delta < 1e-13:
-            e_val = float(np.sum(rho * h) * dv)
-            int_v = float(np.sum(vgrid * rho) * dv)
-            ent_val = float(np.sum(rho * L) * dv)
-            k = 2.0 * e_val + int_v + ent_val / nb
-            el = float(np.max(np.abs(2.0 * h + vgrid + L / nb - k)))
-            if el < tol or delta < 1e-13:
-                break
-
-    e_val = float(np.sum(rho * h) * dv)
-    int_v = float(np.sum(vgrid * rho) * dv)
-    ent_val = float(np.sum(rho * L) * dv)
-    k = 2.0 * e_val + int_v + ent_val / nb
-    el = float(np.max(np.abs(2.0 * h + vgrid + L / nb - k)))
+    L, (rho, h), obj, it = _mirror_descent(
+        _log_normalize(-nb * vgrid, dv), evaluate,
+        lambda aux: -nb * (2.0 * aux[1] + vgrid),
+        lambda L: _log_normalize(L, dv),
+        lambda L, aux: el_of(L, aux)[1],
+        tol, max_iter, s_min=1e-4, s_max=0.95, grow=1.3)
+    k, el = el_of(L, (rho, h))
     if cells_per_axis > 2:
         ratio = float(np.max(rho[_boundary_mask(rho.shape)])) / float(rho.max())
         if ratio > 1e-10:

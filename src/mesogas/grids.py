@@ -101,6 +101,13 @@ class Box:
         return Box(c, np.full(c.shape[0], float(R)))
 
 
+def _lattice_centers(low: np.ndarray, spacing: np.ndarray, n: int) -> np.ndarray:
+    """(n^d, d) centers of an n-per-axis lattice, row-major cell order."""
+    axes = [low[k] + (np.arange(n) + 0.5) * spacing[k] for k in range(len(low))]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
@@ -143,15 +150,8 @@ class GridMeasure:
     def cell_diagonal(self) -> float:
         return float(np.linalg.norm(self.spacing))
 
-    def axes(self) -> tuple[np.ndarray, ...]:
-        low = self.box.low
-        h = self.spacing
-        return tuple(low[k] + (np.arange(self.cells_per_axis) + 0.5) * h[k]
-                     for k in range(self.d))
-
     def cell_centers(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _lattice_centers(self.box.low, self.spacing, self.cells_per_axis)
 
     def cell_index(self, points: np.ndarray) -> np.ndarray:
         """Flat row-major index of the cell containing each point, -1 outside."""
@@ -360,16 +360,9 @@ def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
     # merge coincident sites so the LP has no zero-distance pairs
     order = np.lexsort(pts.T)
     pts, w = pts[order], w[order]
-    keep_pts = [pts[0]]
-    keep_w = [w[0]]
-    for i in range(1, pts.shape[0]):
-        if np.all(pts[i] == keep_pts[-1]):
-            keep_w[-1] += w[i]
-        else:
-            keep_pts.append(pts[i])
-            keep_w.append(w[i])
-    pts = np.asarray(keep_pts)
-    w = np.asarray(keep_w)
+    first = np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])
+    w = np.bincount(np.cumsum(first) - 1, weights=w)
+    pts = pts[first]
     nz = w != 0.0
     pts, w = pts[nz], w[nz]
     n = pts.shape[0]

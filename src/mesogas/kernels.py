@@ -52,19 +52,12 @@ def _ball_g(r2, radius, d):
     return out
 
 
-def _cell_centers(low, spacing, shape):
-    axes = [low[k] + (np.arange(shape[k]) + 0.5) * spacing[k] for k in range(len(shape))]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def grid_potential_at_points(density, low, spacing, shape, points, radius, d):
+def grid_potential_at_points(density, centers, cellvol, points, radius, d):
     """h at `points` from the grid measure, each point smeared at `radius`.
 
+    `density` is flat over the cells with the given `centers` and volume.
     radius == 0 evaluates the raw kernel g(point - cell center).
     """
-    centers = _cell_centers(low, spacing, tuple(shape))
-    cellvol = float(np.prod(spacing))
     out = np.zeros(points.shape[0])
     nz = density != 0.0
     centers = centers[nz]
@@ -83,10 +76,9 @@ def grid_potential_at_points(density, low, spacing, shape, points, radius, d):
     return out
 
 
-def atoms_potential_on_grid(atoms, weight, low, spacing, shape, ncells, radius, d):
-    """Field of smeared atoms sampled at every cell center, flat row-major."""
-    centers = _cell_centers(low, spacing, tuple(shape))
-    out = np.zeros(ncells)
+def atoms_potential_on_grid(atoms, weight, centers, radius, d):
+    """Field of smeared atoms sampled at each of the (n, d) `centers`."""
+    out = np.zeros(centers.shape[0])
     for a in range(atoms.shape[0]):
         diff = centers - atoms[a]
         r2 = np.einsum("ik,ik->i", diff, diff)

@@ -9,8 +9,9 @@ cube, each matched to a temperature regime:
 * ``phi_rate``: the screened Coulomb energy
   Phi^alpha(mu) = min_phi  E(mu - alpha 1_window + (phi - alpha) 1_exterior)
   over exterior screening densities phi >= 0, a convex QP in phi solved by
-  projected gradient with Barzilai-Borwein steps. ``phi_mass_constrained``
-  adds a total-mass cap on phi.
+  the Barzilai-Borwein projected gradient ``equilibrium._projected_gradient``
+  that ``solve_equilibrium`` also runs. ``phi_mass_constrained`` adds a
+  total-mass cap on phi.
 
 * ``t_rate``: the combined functional
   T(mu) = min_nu  E(mu + nu - w) + ent[nu | w]
@@ -19,7 +20,8 @@ cube, each matched to a temperature regime:
   pair -int log(w) dnu + ent[nu] collapses to the relative entropy
   ent[nu|w], so the no-energy problem has the closed-form solution
   nu = kappa w exposed as ``kappa_minimizer``; with the energy on, the
-  problem is solved by entropic mirror descent warm-started there.
+  problem is solved by entropic mirror descent warm-started there, the loop
+  ``equilibrium._mirror_descent`` that ``solve_thermal`` also runs.
 
 All minimizations happen over a truncated exterior: a cube ``factor`` times
 the window, carved into the same lattice so window cells and exterior cells
@@ -37,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coulomb import grid_kernel
-from .equilibrium import _project_simplex
+from .equilibrium import (_log_normalize, _mirror_descent, _project_simplex,
+                          _projected_gradient)
 from .grids import Box, GridMeasure, mass, relative_entropy
 
 
@@ -101,12 +104,6 @@ class ExteriorDomain:
         full = np.zeros(self.layout.density.shape)
         full[self.interior_slice] = mu.density
         return full
-
-    def window_measure(self, density_full: np.ndarray) -> GridMeasure:
-        """Restriction of a full-lattice density to the window grid."""
-        block = density_full[self.interior_slice].copy()
-        return GridMeasure(self.interior, self.cells_interior, block,
-                           signed=bool(np.any(block < 0)))
 
     def exterior_measure(self, density_full: np.ndarray) -> GridMeasure:
         dens = np.where(self.interior_mask, 0.0, density_full)
@@ -189,79 +186,46 @@ def _phi_solve(mu: GridMeasure, background, domain: ExteriorDomain,
     ext = domain.exterior_mask
     q_fix = domain.embed(mu) - bg
 
-    phi = np.where(ext, np.maximum(bg, 0.0), 0.0)
-
-    def project(p):
-        p = np.maximum(p, 0.0)
-        p[~ext] = 0.0
-        if mass_cap is not None and p.sum() * dv > mass_cap:
-            flat = _project_simplex(p[ext], mass_cap / dv)
-            p = np.zeros_like(p)
-            p[ext] = flat
+    # the iterate is phi on the exterior cells; phi vanishes in the window
+    def full(x):
+        p = np.zeros(ext.shape)
+        p[ext] = x
         return p
 
-    phi = project(phi)
+    def project(z):
+        z = np.maximum(z, 0.0)
+        if mass_cap is not None and z.sum() * dv > mass_cap:
+            return _project_simplex(z, mass_cap / dv)
+        return z
 
-    def fields(p):
-        q = q_fix + p
+    def evaluate(x):
+        q = q_fix + full(x)
         h = ker.potential(q)
-        return q, h, float(np.sum(q * h) * dv)
+        return float(np.sum(q * h) * dv), h
 
-    q, h, obj = fields(phi)
-    lip = 2.0 * dv * dv * float(np.max(np.abs(ker._Kf)))
-    step = 1.0 / lip
-    memory = [obj]
-    phi_prev = None
-    grad_prev = None
-    it = 0
-    kkt = np.inf
-    for it in range(1, max_iter + 1):
-        grad = 2.0 * dv * h
-        if phi_prev is not None:
-            ds = (phi - phi_prev)[ext]
-            dg = (grad - grad_prev)[ext]
-            denom = float(ds @ dg)
-            if denom > 0:
-                step = float(ds @ ds) / denom
-        phi_prev, grad_prev = phi, grad
-        ref = max(memory[-10:])
-        while True:
-            cand = project(phi - step * grad)
-            q_c, h_c, obj_c = fields(cand)
-            if obj_c <= ref + 1e-14 * abs(ref) or step < 1e-18:
-                break
-            step *= 0.5
-        phi, q, h, obj = cand, q_c, h_c, obj_c
-        memory.append(obj)
-        if it % 5 == 0 or it == max_iter:
-            kkt = _phi_kkt(phi, 2.0 * dv * h, ext, dv, mass_cap)
-            if kkt < tol:
-                break
+    def kkt(x, h):
+        g = 2.0 * dv * h[ext]
+        free = x > 0
+        if (mass_cap is not None and np.any(free)
+                and x.sum() * dv >= mass_cap * (1 - 1e-12)):
+            g = g - float(np.mean(g[free]))    # the mass multiplier
+        r = float(np.max(np.abs(g[free]))) if np.any(free) else 0.0
+        if not np.all(free):
+            r = max(r, -float(np.min(g[~free])))
+        return r
 
-    kkt = _phi_kkt(phi, 2.0 * dv * h, ext, dv, mass_cap)
+    x, h, obj, it = _projected_gradient(
+        project(bg[ext]), evaluate,
+        lambda h: 2.0 * dv * h[ext], project, kkt,
+        2.0 * dv * dv * ker.lipschitz, tol, max_iter)
+    phi = full(x)
     mass_err = 0.0
     if mass_cap is not None:
         mass_err = max(0.0, float(phi.sum() * dv) - mass_cap)
-    minimizer = domain.exterior_measure(phi)
-    return RateReport(functional="Phi", value=obj, minimizer=minimizer,
-                      iterations=it, kkt_residual=kkt, mass_error=mass_err,
+    return RateReport(functional="Phi", value=obj,
+                      minimizer=domain.exterior_measure(phi),
+                      iterations=it, kkt_residual=kkt(x, h), mass_error=mass_err,
                       extras={"screening_mass": float(phi.sum() * dv)})
-
-
-def _phi_kkt(phi, grad, ext, dv, mass_cap) -> float:
-    g = grad[ext]
-    p = phi[ext]
-    if mass_cap is not None and p.sum() * dv >= mass_cap * (1 - 1e-12):
-        active = p > 0
-        lam = -float(np.mean(g[active])) if np.any(active) else 0.0
-        g = g + lam
-    free = p > 0
-    r = 0.0
-    if np.any(free):
-        r = float(np.max(np.abs(g[free])))
-    if np.any(~free):
-        r = max(r, float(max(0.0, -np.min(g[~free]))))
-    return r
 
 
 def phi_rate(mu: GridMeasure, alpha, domain: ExteriorDomain,
@@ -376,12 +340,13 @@ def _t_minimize(q_fixed: np.ndarray, logw: np.ndarray, target_mass: float,
 
     nu lives on exterior cells with exact mass target_mass (renormalized
     every step). The iterate is kept as log nu on the cells where w > 0
-    (elsewhere nu must vanish), so every array stays finite.
+    (elsewhere nu must vanish), so every array stays finite. The gradient
+    in log coordinates is log nu - log w + 1 + 2 h, so the mirror-descent
+    target is log w - 1 - 2 h.
     Returns (nu_full, objective, kkt_residual, iterations).
     """
     ker = grid_kernel(domain.layout)
     dv = domain.layout.cell_volume
-    shape = domain.layout.density.shape
     flat_idx = np.flatnonzero(domain.exterior_mask.ravel())
     logw_ext = logw.ravel()[flat_idx]
     keep = np.isfinite(logw_ext)
@@ -389,72 +354,38 @@ def _t_minimize(q_fixed: np.ndarray, logw: np.ndarray, target_mass: float,
         raise ValueError("dilated measure vanishes on the whole exterior")
     flat_idx = flat_idx[keep]
     logw_c = logw_ext[keep]
+    log_mass = np.log(target_mass)
 
-    def normalize(Lv):
-        m = Lv.max()
-        z = m + np.log(np.sum(np.exp(Lv - m)) * dv)
-        return Lv - z + np.log(target_mass)
-
-    def assemble(Lv):
-        nu = np.zeros(domain.layout.density.size)
-        nu[flat_idx] = np.exp(Lv)
-        return nu.reshape(shape)
-
-    def objective(Lv, nu_c, nu_full):
+    def evaluate(Lv):
+        nu_c = np.exp(Lv)
+        nu = np.zeros(domain.layout.density.shape)
+        nu.flat[flat_idx] = nu_c
         val = float(np.sum(nu_c * (Lv - logw_c)) * dv)
+        h = None
         if include_energy:
-            q = q_fixed + nu_full
+            q = q_fixed + nu
             h = ker.potential(q)
             val += float(np.sum(q * h) * dv)
-            return val, h
-        return val, None
+        return val, (nu, h)
 
-    def grad(Lv, h):
-        g = (Lv - logw_c) + 1.0
-        if include_energy and h is not None:
-            g = g + 2.0 * h.ravel()[flat_idx]
-        return g
+    def target(aux):
+        t = logw_c - 1.0
+        if include_energy:
+            t = t - 2.0 * aux[1].ravel()[flat_idx]
+        return t
 
-    def kkt_of(Lv, g):
+    def kkt(Lv, aux):
+        g = Lv - target(aux)
         wts = np.exp(Lv - Lv.max())
         gbar = float(np.sum(g * wts) / np.sum(wts))
         live = wts > 1e-15
         return float(np.max(np.abs(g[live] - gbar)))
 
-    L = normalize(logw_c.copy())
-    nu_full = assemble(L)
-    obj, h = objective(L, nu_full.ravel()[flat_idx], nu_full)
-    s = 0.5
-    streak = 0
-    it = 0
-    kkt = np.inf
-    for it in range(1, max_iter + 1):
-        g = grad(L, h)
-        accepted = False
-        while s >= 1e-7:
-            L_cand = normalize(L - s * g)
-            nu_cand = assemble(L_cand)
-            obj_cand, h_cand = objective(L_cand, nu_cand.ravel()[flat_idx],
-                                         nu_cand)
-            if obj_cand <= obj + 1e-14 * abs(obj):
-                accepted = True
-                break
-            s *= 0.5
-            streak = 0
-        if not accepted:
-            break
-        L, nu_full, obj, h = L_cand, nu_cand, obj_cand, h_cand
-        streak += 1
-        if streak >= 3:
-            s = min(s * 1.5, 2.0)
-            streak = 0
-        if it % 5 == 0:
-            kkt = kkt_of(L, grad(L, h))
-            if kkt < tol:
-                break
-
-    kkt = kkt_of(L, grad(L, h))
-    return nu_full, obj, kkt, it
+    L, aux, obj, it = _mirror_descent(
+        _log_normalize(logw_c, dv, log_mass), evaluate, target,
+        lambda Lv: _log_normalize(Lv, dv, log_mass), kkt,
+        tol, max_iter, s_min=1e-7, s_max=2.0, grow=1.5)
+    return aux[0], obj, kkt(L, aux), it
 
 
 def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
@@ -486,10 +417,7 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
     nu, obj, kkt, it = _t_minimize(
         q_fixed, logw, target, domain, include_energy, tol, max_iter)
 
-    ker = grid_kernel(domain.layout)
-    q = q_fixed + nu
-    h = ker.potential(q)
-    energy_term = float(np.sum(q * h) * dv)
+    energy_term = grid_kernel(domain.layout).energy(q_fixed + nu)
     extras = {"energy_term": energy_term,
               "entropy_term": obj - (energy_term if include_energy else 0.0)}
 

@@ -101,14 +101,6 @@ class RegimeParams:
     def window(self) -> Box:
         return Box.cube(np.zeros(self.d), self.R)
 
-    def hypothesis_flags(self) -> dict:
-        lo = (self.d - 2) / self.d
-        return {
-            "gamma_in_range": bool(lo < self.gamma < 1),
-            "lambda_in_range": bool(0 < self.lam < 1.0 / self.d),
-            "lambda_theorem": bool(self.lam < 1.0 / (self.d * (self.d + 2))),
-        }
-
 
 def hamiltonian(X: np.ndarray, V, N: int, d: int | None = None) -> float:
     """Ordered-pair interaction energy plus N-weighted confinement.
@@ -248,6 +240,9 @@ def gibbs_sample(params: RegimeParams, V, steps: int, burn_in: int,
     tune_window = max(50, 10 * N)
 
     vcoef, general_v = (float(V.coef), None) if quadratic else (0.0, V)
+    if getattr(V, "kind", None) == "tabulated":
+        # V is +inf off its table's box, so such proposals are rejected
+        general_v = lambda p: V.table.density_at(p, fill=np.inf)
 
     def run(n_props, cur_scale, cur_ham):
         sites, normals, unifs = _propose_batch(rng, n_props, N, d)

@@ -137,6 +137,24 @@ def test_tabulated_potential_chain_keeps_hamiltonian(quad):
                                              rel=1e-8)
 
 
+def test_tabulated_potential_rejects_moves_off_its_box(quad):
+    """A proposal leaving the table's box sees V = +inf and is rejected."""
+    p = make_params(N=16)
+    table_box = Box.cube(np.zeros(3), 1.5)
+    like = GridMeasure.zeros(table_box, 8)
+    tab = Potential("tabulated",
+                    table=like.with_density(quad.on_grid(like), signed=False))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        runs = [gibbs_sample(p, tab, 80 * 16, 20 * 16, seed=0, chain_index=c)
+                for c in range(4)]
+    assert [len(states) for states in runs] == [60] * 4
+    for states in runs:
+        for s in states:
+            assert np.all(table_box.contains(s.points))
+    assert not [w for w in caught if "drift" in str(w.message)]
+
+
 def test_single_particle_chain_matches_gaussian(quad):
     """At N=1 the Gibbs law is exp(-V), a centered Gaussian."""
     p = make_params(N=1, gamma=0.5, lam=0.1)
