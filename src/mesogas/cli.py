@@ -35,9 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .construction import ConstructionParams, construct
-from .coulomb import SpaceParams
-from .equilibrium import Potential, solve_equilibrium, solve_thermal, thermal_box
-from .grids import AtomicMeasure, Box, GridMeasure, bl_distance, deposit, mass
+from .equilibrium import Potential, solve_equilibrium, solve_thermal
+from .grids import AtomicMeasure, Box, GridMeasure, bl_distance, mass
 from .rates import ExteriorDomain, n_rate, phi_rate, t_rate
 from .sampler import (RegimeParams, ball_membership, chain_to_jsonl,
                       estimate_event_probability, gibbs_sample,
@@ -115,6 +114,14 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
+        """Parse and validate; every rejected value raises ConfigError."""
+        try:
+            return ExperimentConfig._parse(obj)
+        except (ValueError, TypeError) as exc:  # ConfigError included
+            raise ConfigError(str(exc)) from exc
+
+    @staticmethod
+    def _parse(obj: dict) -> "ExperimentConfig":
         cfg = ExperimentConfig(raw=dict(obj))
         cfg.d = int(obj.get("d", 3))
         if cfg.d < 3:
@@ -169,8 +176,13 @@ class ExperimentConfig:
             raise ConfigError("grids need at least a handful of cells")
         sampler = obj.get("sampler", {})
         cfg.chains = int(sampler.get("chains", 16))
-        cfg.steps = sampler.get("steps")
-        cfg.burn_in = sampler.get("burn_in")
+        steps, burn_in = sampler.get("steps"), sampler.get("burn_in")
+        cfg.steps = None if steps is None else int(steps)
+        cfg.burn_in = None if burn_in is None else int(burn_in)
+        n_steps = math.inf if cfg.steps is None else cfg.steps
+        if cfg.chains < 1 or not n_steps > (cfg.burn_in or 0) >= 0:
+            raise ConfigError("sampler needs chains >= 1 and "
+                              "steps > burn_in >= 0")
         cfg.construction = dict(obj.get("construction", {}))
         cfg.rate_functional = obj.get("rate", {}).get("functional", "n")
         if cfg.rate_functional not in ("n", "phi", "t"):
@@ -182,8 +194,7 @@ class ExperimentConfig:
 
     def mu_v_density(self) -> float:
         """Density of the quadratic-potential equilibrium measure at 0."""
-        sp = SpaceParams(self.d)
-        return self.d * self.potential.coef / abs(sp.c_d)
+        return self.potential.equilibrium_density(self.d)
 
     def window(self) -> Box:
         return Box.cube(np.zeros(self.d), self.R)
@@ -242,7 +253,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     from .equilibrium import blowup
     from .grids import dilate
     from .rates import kappa_minimizer
-    from .sampler import hamiltonian, offdiag_energy_gap, splitting_decompose
+    from .sampler import hamiltonian, splitting_decompose
 
     d = cfg.d
     rng = np.random.default_rng(cfg.seed)
@@ -486,11 +497,14 @@ def run_construct(cfg: ExperimentConfig, out_dir: Path) -> int:
     box = Box.cube(np.zeros(cfg.d), float(c.get("half_width", 1.0)))
     cells = int(c.get("target_cells", 16))
     target = GridMeasure.uniform(box, cells, 1.0 / box.volume)
-    params = ConstructionParams(
-        target=target, N=int(c.get("N", 256)),
-        cube_size=float(c.get("cube_size", 0.5)),
-        separation=float(c.get("separation", 0.2)),
-        truncate_quantile=c.get("truncate_quantile"))
+    try:
+        params = ConstructionParams(
+            target=target, N=int(c.get("N", 256)),
+            cube_size=float(c.get("cube_size", 0.5)),
+            separation=float(c.get("separation", 0.2)),
+            truncate_quantile=c.get("truncate_quantile"))
+    except ValueError as exc:
+        raise ConfigError(f"construction: {exc}") from exc
     report = construct(params, seed=cfg.seed,
                        volume_trials=int(c.get("volume_trials", 4)))
     (out_dir / "construction.json").write_text(

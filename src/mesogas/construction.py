@@ -44,8 +44,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import kernels
-from .coulomb import (SpaceParams, ball_self_energy, energy,
-                      potential_at_points, potential_field)
+from .coulomb import (SpaceParams, ball_self_energy, energy_offdiag,
+                      potential_field)
 from .grids import (AtomicMeasure, Box, GridMeasure, _lattice_centers,
                     bl_distance, mass, resample)
 
@@ -337,17 +337,13 @@ def energy_gap(configuration: AtomicMeasure, nu: GridMeasure,
 
     Below the guaranteed separation the smeared balls are disjoint, so the
     cross pair terms equal the raw kernel (Newton) and only the per-atom
-    self-energies depend on the radius.
+    self-energies, added to E^{neq}(empirical - nu), depend on the radius.
     """
     nu = _normalized(nu)
-    pts, w, n_pts = configuration.points, configuration.weight, configuration.count
     r_s = _smear_for(tau_min, 0.25 * nu.spacing[0])
-    d = nu.d
-    pair = kernels.pairwise_g_sum(np.ascontiguousarray(pts), float(d)) \
-        if n_pts > 1 else 0.0
-    self_e = n_pts * ball_self_energy(r_s, d)
-    cross = float(np.sum(potential_at_points(nu, pts, smear_radius=r_s)))
-    return float(w * w * (pair + self_e) - 2.0 * w * cross + energy(nu)), r_s
+    n, w = configuration.count, configuration.weight
+    gap = energy_offdiag(configuration, -1.0 * nu, smear_radius=r_s)
+    return gap + n * w ** 2 * ball_self_energy(r_s, nu.d), r_s
 
 
 def potential_gap(configuration: AtomicMeasure, nu: GridMeasure,
@@ -468,8 +464,7 @@ class VolumeEstimate:
     log_volume_per_N = multinomial_per_N + separation_loss_per_N. The
     multinomial term is exact (log-gamma); its deviation from the Sanov
     evaluation of the same count histogram is the finite-N combinatorial
-    gap, reported as stirling_gap_per_N (nonpositive). Iterating the object
-    yields (log_volume_per_N, target).
+    gap, reported as stirling_gap_per_N (nonpositive).
     """
 
     log_volume_per_N: float
@@ -479,9 +474,6 @@ class VolumeEstimate:
     stirling_gap_per_N: float
     separation_loss_per_N: float
     counts: np.ndarray
-
-    def __iter__(self):
-        return iter((self.log_volume_per_N, self.target))
 
 
 def volume_estimate(nu: GridMeasure, mu_ref: GridMeasure, N: int,

@@ -19,12 +19,16 @@ diagonal (overridable); by Newton's theorem the smeared kernel
                  = (|z|^2 + d(r^2-|z|^2)/2) / r^d     for |z| <  r
 
 is exact, so no rasterization error enters mixed forms. Pure atomic sums are
-O(N^2) direct evaluations of g.
+O(N^2) direct evaluations of g; ``energy_offdiag`` adds them to the grid
+forms as E^{neq}(atoms + grid), for atoms of either sign. Two atomic measures
+have no finite bilinear form of their own.
 
 Sphere smearing (uniform measure on a boundary sphere) has the classical
 closed forms  h_shell(z; R) = g(max(|z|, R))  and  E(shell_R) = g(R); two
 shells of radius R interact at exactly g(s) once their centers are s >= 2R
 apart, and strictly below g(s) when the surfaces intersect (0 < s < 2R).
+The smeared energy of an atomic measure is assembled from these shell pairs,
+so it is available for sphere smearing only.
 """
 
 from __future__ import annotations
@@ -161,18 +165,6 @@ def shell_shell_interaction(s: float, Ra: float, Rb: float, d: int) -> float:
     if s == 0.0:
         return float(g_radial(max(Ra, Rb), d))
     return sphere_average(lambda rr: shell_potential(rr, Ra, d), s, Rb, d)
-
-
-def ball_ball_interaction(s: float, R: float, d: int) -> float:
-    """Interaction of two unit-mass uniform balls of radius R at distance s."""
-    if s >= 2.0 * R:
-        return float(g_radial(s, d))
-
-    def outer(r):
-        return sphere_average(lambda rr: ball_potential(rr, R, d), s, r, d)
-
-    val = quad(lambda r: outer(r) * d * r ** (d - 1) / R ** d, 0.0, R, limit=200)[0]
-    return float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -315,25 +307,22 @@ def energy(m: Measure, smear: SmearKind | None = None) -> float:
 
     Grid measures (signed allowed) evaluate via the lattice form. Raw atomic
     input carries infinite diagonal self-energy: +inf is returned. With a
-    `smear`, atoms are replaced by the smearing measure and the energy is
-    assembled from analytic pair interactions.
+    sphere `smear`, each atom is replaced by the uniform sphere of that
+    radius and the energy is assembled from the closed-form shell pair
+    interactions; ball smearing of atoms raises ValueError.
     """
     if isinstance(m, GridMeasure):
         return grid_kernel(m).energy(m.density)
     if smear is None:
         return math.inf
-    pts, w, n = m.points, m.weight, m.count
-    if smear.kind == "sphere":
-        pair = lambda s: shell_shell_interaction(s, smear.radius, smear.radius, m.d)
-        self_e = shell_self_energy(smear.radius, m.d)
-    else:
-        pair = lambda s: ball_ball_interaction(s, smear.radius, m.d)
-        self_e = ball_self_energy(smear.radius, m.d)
-    total = n * self_e
+    if smear.kind != "sphere":
+        raise ValueError("smeared atomic energy needs sphere smearing")
+    pts, w, n, R = m.points, m.weight, m.count, smear.radius
+    total = n * shell_self_energy(R, m.d)
     for i in range(n):
         for j in range(i + 1, n):
             s = float(np.linalg.norm(pts[i] - pts[j]))
-            total += 2.0 * pair(s)
+            total += 2.0 * shell_shell_interaction(s, R, R, m.d)
     return float(w * w * total)
 
 
@@ -342,20 +331,16 @@ def interaction(a: Measure, b: Measure,
     """Bilinear form G(a, b) = double integral of g against a x b.
 
     grid x grid requires a shared lattice; atomic x grid smears the atoms
-    (default one cell diagonal); atomic x atomic is the exact cross-pair sum
-    (+inf if configurations share a point).
+    (default one cell diagonal). Atomic x atomic raises TypeError: its
+    diagonal diverges, and ``energy_offdiag`` is the form that drops it.
     """
     if isinstance(a, GridMeasure) and isinstance(b, GridMeasure):
         a._check_lattice(b)
         return grid_kernel(a).cross(a.density, b.density)
-    if isinstance(a, AtomicMeasure) and isinstance(b, AtomicMeasure):
-        diff = a.points[:, None, :] - b.points[None, :, :]
-        r2 = np.einsum("ijk,ijk->ij", diff, diff)
-        if np.any(r2 == 0.0):
-            return math.inf
-        return float(a.weight * b.weight * np.sum(r2 ** (0.5 * (2.0 - a.d))))
     if isinstance(a, GridMeasure):
         a, b = b, a
+    if not isinstance(b, GridMeasure):
+        raise TypeError("interaction needs at least one grid measure")
     vals = potential_at_points(b, a.points, smear_radius=smear_radius)
     return float(a.weight * np.sum(vals))
 
@@ -365,6 +350,8 @@ def energy_offdiag(atoms: AtomicMeasure | None, grid: GridMeasure | None,
                    smear_radius: float | None = None) -> float:
     """E^{neq}(atoms + grid): the energy with atomic self-pairs removed.
 
+    The atoms' common weight may be negative: E^{neq}(grid - nu) is
+    ``energy_offdiag(AtomicMeasure(nu.points, -nu.weight), grid)``.
     With `box` given, only self-pairs of atoms inside the box are removed
     (the windowed form E^{neq}_box); an atom outside the box then keeps its
     infinite self-energy and the value is +inf. Cross terms smear atoms at
@@ -430,15 +417,8 @@ def smeared_energy_bound(m: AtomicMeasure, eps: float) -> tuple[float, float]:
     condition "eps <= min distance" is loose by the factor 2: intersecting
     spheres interact strictly below g).
     """
-    n, d = m.count, m.d
-    pts = m.points
-    lhs = kernels.pairwise_g_sum(np.ascontiguousarray(pts), float(d)) / n ** 2
-    pair_total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = float(np.linalg.norm(pts[i] - pts[j]))
-            pair_total += 2.0 * shell_shell_interaction(s, eps, eps, d)
-    g_eps = shell_self_energy(eps, d)
-    smeared_energy = (pair_total + n * g_eps) / n ** 2
-    rhs = smeared_energy - g_eps * shell_self_energy(1.0, d) / n
+    n, d, pts = m.count, m.d, np.ascontiguousarray(m.points)
+    lhs = kernels.pairwise_g_sum(pts, float(d)) / n ** 2
+    smeared = energy(AtomicMeasure(pts, 1.0 / n), SmearKind("sphere", eps))
+    rhs = smeared - shell_self_energy(eps, d) * shell_self_energy(1.0, d) / n
     return float(lhs), float(rhs)

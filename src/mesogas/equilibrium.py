@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import GridKernel, SpaceParams, grid_kernel
+from .coulomb import SpaceParams, grid_kernel
 from .grids import Box, GridMeasure
 
 
@@ -63,13 +63,16 @@ class Potential:
     def on_grid(self, like: GridMeasure) -> np.ndarray:
         return self(like.cell_centers()).reshape(like.density.shape)
 
+    def equilibrium_density(self, d: int) -> float:
+        """Density d coef / |c_d| of the equilibrium measure (quadratic V)."""
+        if self.kind != "quadratic":
+            raise ValueError("analytic density known only for quadratic V")
+        return d * self.coef / abs(SpaceParams(d).c_d)
+
     def equilibrium_radius(self, d: int) -> float:
         """Support radius of the equilibrium measure (quadratic V, analytic)."""
-        if self.kind != "quadratic":
-            raise ValueError("analytic radius known only for quadratic V")
-        sp = SpaceParams(d)
-        dens = d * self.coef / abs(sp.c_d)
-        return (1.0 / (sp.ball_volume * dens)) ** (1.0 / d)
+        dens = self.equilibrium_density(d)
+        return (1.0 / (SpaceParams(d).ball_volume * dens)) ** (1.0 / d)
 
     def to_json(self) -> dict:
         if self.kind == "quadratic":

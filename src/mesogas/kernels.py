@@ -19,35 +19,34 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
-def pairwise_g_sum(points, d):
-    n = points.shape[0]
-    if n < 2:
-        return 0.0
+def _pair_r2(points):
+    # squared distances of the unordered pairs i < j, in row-major order
     diff = points[:, None, :] - points[None, :, :]
     r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    iu = np.triu_indices(n, k=1)
-    vals = r2[iu]
+    return r2[np.triu_indices(points.shape[0], k=1)]
+
+
+def pairwise_g_sum(points, d):
+    vals = _pair_r2(points)
     if np.any(vals == 0.0):
         return np.inf
     return float(2.0 * np.sum(vals ** (0.5 * (2.0 - d))))
 
 
 def min_pairwise_distance(points):
-    n = points.shape[0]
-    if n < 2:
+    if points.shape[0] < 2:
         return np.inf
-    diff = points[:, None, :] - points[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    iu = np.triu_indices(n, k=1)
-    return float(np.sqrt(np.min(r2[iu])))
+    return float(np.sqrt(np.min(_pair_r2(points))))
 
 
 def _ball_g(r2, radius, d):
-    # potential of the unit-mass uniform ball of `radius` at squared distance r2
+    # potential of the unit-mass uniform ball of `radius` at squared distance
+    # r2; radius 0 is the raw kernel, +inf at r2 == 0
     r2 = np.asarray(r2, dtype=float)
     out = np.empty_like(r2)
     far = r2 >= radius * radius
-    out[far] = r2[far] ** (0.5 * (2.0 - d))
+    with np.errstate(divide="ignore"):
+        out[far] = r2[far] ** (0.5 * (2.0 - d))
     out[~far] = (r2[~far] + 0.5 * d * (radius * radius - r2[~far])) / radius ** d
     return out
 
@@ -65,14 +64,7 @@ def grid_potential_at_points(density, centers, cellvol, points, radius, d):
     for q in range(points.shape[0]):
         diff = centers - points[q]
         r2 = np.einsum("ik,ik->i", diff, diff)
-        if radius > 0.0:
-            vals = _ball_g(r2, radius, d)
-        else:
-            if np.any(r2 == 0.0):
-                out[q] = np.inf
-                continue
-            vals = r2 ** (0.5 * (2.0 - d))
-        out[q] = cellvol * float(rho @ vals)
+        out[q] = cellvol * float(rho @ _ball_g(r2, radius, d))
     return out
 
 
@@ -82,12 +74,7 @@ def atoms_potential_on_grid(atoms, weight, centers, radius, d):
     for a in range(atoms.shape[0]):
         diff = centers - atoms[a]
         r2 = np.einsum("ik,ik->i", diff, diff)
-        if radius > 0.0:
-            out += _ball_g(r2, radius, d)
-        else:
-            if np.any(r2 == 0.0):
-                return out * np.nan
-            out += r2 ** (0.5 * (2.0 - d))
+        out += _ball_g(r2, radius, d)
     return weight * out
 
 

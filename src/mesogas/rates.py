@@ -422,9 +422,7 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
               "entropy_term": obj - (energy_term if include_energy else 0.0)}
 
     if mu_v0 is None and getattr(thermal_sol.potential, "kind", None) == "quadratic":
-        from .coulomb import SpaceParams
-        mu_v0 = domain.d * thermal_sol.potential.coef / abs(
-            SpaceParams(domain.d).c_d)
+        mu_v0 = thermal_sol.potential.equilibrium_density(domain.d)
     if mu_v0 is not None:
         ref = GridMeasure.uniform(domain.interior, mu.cells_per_axis,
                                   value=float(mu_v0))
@@ -442,9 +440,7 @@ def phi_background_gap(rho: GridMeasure, params, thermal_sol,
                        max_iter: int = 5000) -> float:
     """|Phi^{mu_V(0)}(rho) - Phi^{w_N}(rho)| for the dilated thermal
     background w_N; the gap closes as N grows."""
-    from .coulomb import SpaceParams
-    d = domain.d
-    mu_v0 = d * thermal_sol.potential.coef / abs(SpaceParams(d).c_d)
+    mu_v0 = thermal_sol.potential.equilibrium_density(domain.d)
     w, _ = blowup_on_domain(thermal_sol, float(params.N), float(params.lam),
                             domain)
     a = phi_rate(rho, mu_v0, domain, tol, max_iter).value

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .coulomb import default_smear_radius, energy as coulomb_energy, \
-    interaction, potential_at_points
+    energy_offdiag, potential_at_points
 from .grids import AtomicMeasure, Box, GridMeasure, bl_distance
 
 
@@ -43,8 +43,9 @@ class RegimeParams:
     beta = N^{-gamma}; the critical exponent is gamma* = 1 - 2 lambda.
     gamma > gamma* is the subcritical regime (entropy wins, speed
     N^{2-(d+2)lambda}), gamma < gamma* the supercritical one (energy wins,
-    speed N^{1-lambda d}). Values outside the theorem's hypothesis ranges
-    are allowed for exploration but warn.
+    speed N^{1-lambda d}); ``cli.classify_regime`` places a point on that
+    line in exact rational arithmetic. Values outside the theorem's
+    hypothesis ranges are allowed for exploration but warn.
     """
 
     N: int
@@ -76,18 +77,6 @@ class RegimeParams:
     @property
     def beta(self) -> float:
         return float(self.N) ** (-self.gamma)
-
-    @property
-    def gamma_star(self) -> float:
-        return 1.0 - 2.0 * self.lam
-
-    @property
-    def regime(self) -> str:
-        if self.gamma > self.gamma_star:
-            return "subcritical"
-        if self.gamma < self.gamma_star:
-            return "supercritical"
-        return "critical"
 
     @property
     def speed_sub(self) -> float:
@@ -150,22 +139,6 @@ def splitting_decompose(X: np.ndarray, sol_thermal, N: int, beta: float
     zeta_sum = N * float(np.sum(2.0 * h_at + v_at - k))
     fluct = pair - 2.0 * N * float(np.sum(h_at)) + N * N * e_mu
     return main, zeta_sum, fluct
-
-
-def offdiag_energy_gap(nu: AtomicMeasure, mu: GridMeasure,
-                       smear_radius: float | None = None) -> float:
-    """E_offdiag(mu - nu): grid energy minus twice the smeared cross term
-    plus the raw off-diagonal atom sum. Signed."""
-    d = mu.d
-    if smear_radius is None:
-        smear_radius = default_smear_radius(mu)
-    e_mu = coulomb_energy(mu)
-    if nu.count == 0:
-        return float(e_mu)
-    pair = nu.weight ** 2 * float(kernels.pairwise_g_sum(
-        np.ascontiguousarray(nu.points, dtype=float), d))
-    cross = interaction(nu, mu, smear_radius=smear_radius)
-    return float(e_mu - 2.0 * cross + pair)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +292,8 @@ def ball_membership(nu: AtomicMeasure, mu: GridMeasure, eps: float, k: float,
         inner = Box.cube(np.zeros(params.d), shrink)
         if not np.all(inner.contains(nu.points)):
             return False
-    return bool(abs(offdiag_energy_gap(nu, mu)) < eps)
+    gap = energy_offdiag(AtomicMeasure(nu.points, -nu.weight), mu)
+    return bool(abs(gap) < eps)
 
 
 def estimate_event_probability(params: RegimeParams, V, predicate,

@@ -111,6 +111,45 @@ def test_main_returns_2_on_config_problems(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_invalid_configs_exit_2_without_a_traceback(tmp_path, capsys):
+    patches = [
+        {"potential": {"kind": "cubic"}},
+        {"potential": {"kind": "tabulated"}},
+        {"grid": {"N": [8], "gamma": ["abc"], "lambda": [0.05]}},
+        {"d": "three"},
+        {"sampler": {"chains": 2, "steps": 100, "burn_in": 100}},
+        {"construction": {"N": 64, "cube_size": 0.3, "separation": 0.2}},
+    ]
+    for i, patch in enumerate(patches):
+        obj = base_config()
+        obj.update(patch)
+        path = tmp_path / f"bad_{i}.json"
+        path.write_text(json.dumps(obj))
+        code = main(["construct", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2, patch
+        assert "configuration error" in capsys.readouterr().err, patch
+
+
+@pytest.mark.parametrize("functional, name", [("phi", "Phi"), ("t", "T")])
+def test_rate_command_runs_phi_and_t(tmp_path, functional, name):
+    obj = base_config()
+    obj["rate"] = {"functional": functional}
+    # below the dilated thermal mass at N = 8, which the T rate needs
+    obj["target"] = {"kind": "uniform", "value": 0.1}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["rate", "--config", str(path), "--out", str(out)])
+    assert code == 0
+    payload = json.loads((out / f"rate_{functional}.json").read_text())
+    assert payload["functional"] == name
+    assert math.isfinite(payload["value"]) and payload["value"] > 0.0
+    assert payload["minimizer"]["density"]
+
+
 def test_verify_command_passes_and_writes_report(config_path, tmp_path,
                                                  capsys):
     out = tmp_path / "out"

@@ -194,3 +194,21 @@ def test_smear_kind_validation():
         SmearKind("cube", 0.1)
     with pytest.raises(ValueError):
         SmearKind("ball", -1.0)
+
+
+def test_atomic_forms_without_a_finite_value_raise():
+    atoms = AtomicMeasure(np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]), 0.5)
+    with pytest.raises(ValueError):
+        energy(atoms, SmearKind("ball", 0.1))
+    with pytest.raises(TypeError):
+        interaction(atoms, atoms)
+
+
+def test_raw_kernel_is_infinite_only_at_a_coincident_center():
+    """Radius 0 is the raw kernel: an atom on a cell centre makes that one
+    centre infinite, with the sign of the atom's weight."""
+    like = GridMeasure.zeros(Box.cube(np.zeros(3), 1.0), 4)
+    atoms = AtomicMeasure(like.cell_centers()[[5]], -1.0)
+    h = potential_field(atoms, like, smear_radius=0.0).ravel()
+    assert h[5] == -math.inf
+    assert np.all(np.isfinite(np.delete(h, 5)))

@@ -131,3 +131,11 @@ def test_thermal_rejects_bad_arguments(quad):
         solve_thermal(quad, 0, 1.0)
     with pytest.raises(ValueError):
         solve_thermal(quad, 16, -1.0)
+
+
+def test_equilibrium_density_is_analytic_for_quadratic_v_only():
+    assert Potential("quadratic", 1.0).equilibrium_density(3) == pytest.approx(
+        3.0 / (4.0 * math.pi), rel=1e-12)
+    table = GridMeasure.uniform(Box.cube(np.zeros(3), 1.0), 4, 1.0)
+    with pytest.raises(ValueError):
+        Potential("tabulated", table=table).equilibrium_density(3)

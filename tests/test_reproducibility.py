@@ -11,6 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
+from mesogas.construction import (CubeTiling, cube_masses, energy_gap,
+                                  place_points, round_counts,
+                                  separation_radius)
 from mesogas.equilibrium import solve_equilibrium, solve_thermal
 from mesogas.grids import Box, GridMeasure
 from mesogas.rates import ExteriorDomain, phi_rate, t_rate
@@ -52,3 +55,15 @@ def test_phi_rate_pinned():
         window, 4, lambda x: alpha * (1.0 + 0.5 * np.prod(np.cos(x), axis=1)))
     rep = phi_rate(mu, alpha, domain, tol=1e-10)
     assert rep.value == pytest.approx(0.09054999632517027, rel=REL)
+
+
+def test_construction_energy_gap_pinned():
+    """The construct instance of the benchmark: N = 320 on a 6-cell target."""
+    box = Box.cube(np.zeros(3), 1.0)
+    target = GridMeasure.uniform(box, 6, 1.0 / box.volume)
+    tiling = CubeTiling.build(box, 0.25)
+    counts = round_counts(cube_masses(target, tiling), 320)
+    config = place_points(counts, tiling, 0.2, seed=0)
+    tau_min = separation_radius(counts, 0.25, 0.2, 3)
+    gap, _ = energy_gap(config, target, tau_min)
+    assert gap == pytest.approx(0.1849626073463101, rel=REL)

@@ -7,12 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
+from mesogas.coulomb import energy, energy_offdiag, interaction
 from mesogas.equilibrium import Potential
 from mesogas.grids import AtomicMeasure, GridMeasure, Box, mass
+from mesogas.kernels import pairwise_g_sum
 from mesogas.sampler import (RegimeParams, ball_membership, chain_to_jsonl,
                              estimate_event_probability, gibbs_sample,
                              hamiltonian, local_empirical_field,
-                             offdiag_energy_gap, splitting_decompose)
+                             splitting_decompose)
 
 
 def make_params(N=32, gamma=0.3, lam=0.05, **kw):
@@ -24,12 +26,8 @@ def make_params(N=32, gamma=0.3, lam=0.05, **kw):
 def test_regime_params_derived_quantities():
     p = make_params(N=64, gamma=0.3, lam=0.05)
     assert p.beta == pytest.approx(64.0 ** -0.3)
-    assert p.gamma_star == pytest.approx(0.9)
     assert p.speed_super == pytest.approx(64.0 ** 0.85)
     assert p.speed_sub == pytest.approx(64.0 ** 1.75)
-    assert p.regime == "supercritical"
-    assert make_params(gamma=0.95, lam=0.05).regime == "subcritical"
-    assert make_params(gamma=0.9, lam=0.05).regime == "critical"
 
 
 def test_regime_params_validation():
@@ -176,18 +174,18 @@ def test_local_empirical_field_window_and_weight():
     assert np.all(np.abs(lemp.points) < 1.0)
 
 
-def test_offdiag_energy_gap_zero_for_matching_measures(quad, thermal):
-    """Depositing the grid measure's own cells as atoms is not exact, but
-    the signed gap must vanish when nu equals mu in the atomic limit; here
-    we check the gap is small for a fine quantization and exactly zero for
-    mu against itself through the atomic path."""
-    sol = thermal(16, cells=16)
-    mu = sol.measure
+def test_signed_energy_offdiag_expands_into_its_three_terms(thermal):
+    """The energy ball's gap E_offdiag(mu - nu) is energy_offdiag with the
+    atoms' weight negated: E(mu) - 2 G(nu, mu) + w^2 sum_{i != j} g."""
+    mu = thermal(16, cells=16).measure
     rng = np.random.default_rng(8)
     pts = rng.uniform(-0.3, 0.3, (64, 3))
-    nu = AtomicMeasure(pts, 1.0 / 64)
-    gap = offdiag_energy_gap(nu, mu)
-    assert np.isfinite(gap)
+    w = 1.0 / 64
+    nu = AtomicMeasure(pts, w)
+    got = energy_offdiag(AtomicMeasure(pts, -w), mu)
+    want = (energy(mu) - 2.0 * interaction(nu, mu)
+            + w ** 2 * pairwise_g_sum(pts, 3))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_ball_membership_kinds(quad, thermal):
