@@ -15,15 +15,17 @@ one-to-one onto the package's responsibilities:
                   functional, emit CSV plus a decay-speed regression.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid configuration.
-Mathematically invalid inputs (gamma <= 0, lambda outside [0, 1/d), d < 3)
-are configuration errors; values merely outside the hypothesis ranges of
-the scaling theory only warn.
+The configuration is read once: each (N, gamma, lambda) of the grid becomes
+a ``RegimeParams`` and the construction section a ``ConstructionParams``,
+so their own validity rules decide what is a configuration error and their
+warnings flag values outside the hypothesis ranges of the scaling theory.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -55,10 +57,6 @@ class ConfigError(ValueError):
 # regime classification
 # ---------------------------------------------------------------------------
 
-def _as_fraction(x) -> Fraction:
-    return Fraction(x)
-
-
 def classify_regime(gamma, lam) -> str:
     """Compare gamma against the critical line 1 - 2 lambda, exactly.
 
@@ -66,8 +64,8 @@ def classify_regime(gamma, lam) -> str:
     strings like "9/10"; the comparison happens in rational arithmetic, so
     points on the critical line classify as critical with no float fuzz.
     """
-    g = _as_fraction(gamma)
-    star = 1 - 2 * _as_fraction(lam)
+    g = Fraction(gamma)
+    star = 1 - 2 * Fraction(lam)
     if g > star:
         return "subcritical"
     if g < star:
@@ -87,13 +85,16 @@ def _as_list(x):
 
 @dataclass
 class ExperimentConfig:
-    """Validated view of the single JSON configuration document."""
+    """Validated view of the single JSON configuration document.
+
+    ``regimes`` is the (N, gamma, lambda) product of the grid, each triple
+    as written (so "9/10" stays exact for ``classify_regime``) paired with
+    its ``RegimeParams``; it is empty when the config has no grid.
+    """
 
     d: int = 3
     potential: Potential = field(default_factory=Potential)
-    N_grid: list = field(default_factory=list)
-    gamma_grid: list = field(default_factory=list)
-    lambda_grid: list = field(default_factory=list)
+    regimes: list = field(default_factory=list)
     R: float = 1.0
     ball_type: str = "bl"
     ball_epsilon: float = 0.5
@@ -107,10 +108,10 @@ class ExperimentConfig:
     chains: int = 16
     steps: int | None = None
     burn_in: int | None = None
-    construction: dict = field(default_factory=dict)
+    construction: ConstructionParams | None = None
+    volume_trials: int = 4
     rate_functional: str = "n"
     seed: int = 20240817
-    raw: dict = field(default_factory=dict)
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
@@ -122,37 +123,25 @@ class ExperimentConfig:
 
     @staticmethod
     def _parse(obj: dict) -> "ExperimentConfig":
-        cfg = ExperimentConfig(raw=dict(obj))
+        cfg = ExperimentConfig()
         cfg.d = int(obj.get("d", 3))
         if cfg.d < 3:
             raise ConfigError(f"d={cfg.d}: the kernel |x|^(2-d) needs d >= 3")
         pot = obj.get("potential", {})
         cfg.potential = Potential(kind=pot.get("kind", "quadratic"),
                                   coef=float(pot.get("coef", 1.0)))
-        grid = obj.get("grid", {})
-        cfg.N_grid = [int(n) for n in _as_list(grid.get("N"))]
-        cfg.gamma_grid = _as_list(grid.get("gamma"))
-        cfg.lambda_grid = _as_list(grid.get("lambda"))
-        for n in cfg.N_grid:
-            if n < 1:
-                raise ConfigError(f"N={n} must be a positive integer")
-        for g in cfg.gamma_grid:
-            if float(_as_fraction(g)) <= 0:
-                raise ConfigError(f"gamma={g} must be positive")
-            if not (cfg.d - 2) / cfg.d < float(_as_fraction(g)) < 1:
-                warnings.warn(f"gamma={g} outside the hypothesis range "
-                              f"({(cfg.d - 2) / cfg.d:.4g}, 1); exploratory run")
-        for lam in cfg.lambda_grid:
-            lf = float(_as_fraction(lam))
-            if not 0.0 <= lf < 1.0 / cfg.d:
-                raise ConfigError(
-                    f"lambda={lam} outside [0, 1/d) = [0, {1.0 / cfg.d:.4g})")
-            if lf >= 1.0 / (cfg.d * (cfg.d + 2)):
-                warnings.warn(f"lambda={lam} at or beyond 1/(d(d+2)) = "
-                              f"{1.0 / (cfg.d * (cfg.d + 2)):.4g}; exploratory run")
         cfg.R = float(obj.get("R", 1.0))
         if cfg.R <= 0:
             raise ConfigError("window half-width R must be positive")
+        grid = obj.get("grid", {})
+        axes = [_as_list(grid.get(key)) for key in ("N", "gamma", "lambda")]
+        if any(axes) and not all(axes):
+            raise ConfigError("grid must provide N, gamma, and lambda")
+        cfg.regimes = [
+            ((N, gamma, lam),
+             RegimeParams(N=int(N), gamma=float(Fraction(gamma)),
+                          lam=float(Fraction(lam)), R=cfg.R, d=cfg.d))
+            for N, gamma, lam in itertools.product(*axes)]
         ball = obj.get("ball", {})
         cfg.ball_type = ball.get("type", "bl")
         if cfg.ball_type not in ("bl", "energy"):
@@ -183,7 +172,15 @@ class ExperimentConfig:
         if cfg.chains < 1 or not n_steps > (cfg.burn_in or 0) >= 0:
             raise ConfigError("sampler needs chains >= 1 and "
                               "steps > burn_in >= 0")
-        cfg.construction = dict(obj.get("construction", {}))
+        c = obj.get("construction", {})
+        box = Box.cube(np.zeros(cfg.d), float(c.get("half_width", 1.0)))
+        cfg.construction = ConstructionParams(
+            target=GridMeasure.uniform(box, int(c.get("target_cells", 16)),
+                                       1.0 / box.volume),
+            N=int(c.get("N", 256)), cube_size=float(c.get("cube_size", 0.5)),
+            separation=float(c.get("separation", 0.2)),
+            truncate_quantile=c.get("truncate_quantile"))
+        cfg.volume_trials = int(c.get("volume_trials", 4))
         cfg.rate_functional = obj.get("rate", {}).get("functional", "n")
         if cfg.rate_functional not in ("n", "phi", "t"):
             raise ConfigError(f"unknown rate functional {cfg.rate_functional!r}")
@@ -312,8 +309,9 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     checks.append(_check("equilibrium-el-residual", eq.el_residual, 1e-3))
 
     # thermal solver and splitting identity
+    first = cfg.regimes[0][1] if cfg.regimes else None
     N0 = 16
-    gamma0 = 0.9 if not cfg.gamma_grid else float(_as_fraction(cfg.gamma_grid[0]))
+    gamma0 = first.gamma if first else 0.9
     beta0 = float(N0) ** (-gamma0)
     th = solve_thermal(cfg.potential, N0, beta0,
                        cells_per_axis=cfg.cells_per_axis, tol=1e-10)
@@ -332,9 +330,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     checks.append(_check("next-order-rewrite", worst_rw, 1e-6))
 
     # closed-form kappa against the entropic minimizer it solves
-    lam0 = 0.05 if not cfg.lambda_grid else float(_as_fraction(cfg.lambda_grid[0]))
-    if lam0 == 0.0:
-        lam0 = 0.05
+    lam0 = first.lam if first and first.lam > 0.0 else 0.05
     params0 = RegimeParams(N=256, gamma=gamma0, lam=lam0, R=cfg.R, d=d)
     domain = cfg.domain()
     w_blow = blowup(th, 256, lam0)
@@ -406,12 +402,9 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def _first_regime(cfg: ExperimentConfig) -> RegimeParams:
-    if not (cfg.N_grid and cfg.gamma_grid and cfg.lambda_grid):
+    if not cfg.regimes:
         raise ConfigError("grid must provide N, gamma, and lambda")
-    return RegimeParams(N=cfg.N_grid[0],
-                        gamma=float(_as_fraction(cfg.gamma_grid[0])),
-                        lam=float(_as_fraction(cfg.lambda_grid[0])),
-                        R=cfg.R, d=cfg.d)
+    return cfg.regimes[0][1]
 
 
 def run_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -445,12 +438,8 @@ def run_equilibrium(cfg: ExperimentConfig, out_dir: Path) -> int:
         json.dumps(eq.to_json(), sort_keys=True) + "\n")
     print(f"equilibrium: k={eq.k:.6f} el_residual={eq.el_residual:.3e} "
           f"converged={eq.converged}")
-    if cfg.N_grid and cfg.gamma_grid:
-        params = RegimeParams(N=cfg.N_grid[0],
-                              gamma=float(_as_fraction(cfg.gamma_grid[0])),
-                              lam=0.0 if not cfg.lambda_grid
-                              else float(_as_fraction(cfg.lambda_grid[0])),
-                              R=cfg.R, d=cfg.d)
+    if cfg.regimes:
+        params = cfg.regimes[0][1]
         th = solve_thermal(cfg.potential, params.N, params.beta,
                            cells_per_axis=cfg.cells_per_axis,
                            tol=cfg.solver_tol)
@@ -481,7 +470,10 @@ def _rate_for(cfg: ExperimentConfig, params: RegimeParams, mu: GridMeasure,
 def run_rate(cfg: ExperimentConfig, out_dir: Path) -> int:
     params = _first_regime(cfg)
     mu = cfg.target_measure(params.N, params.lam)
-    value, rep = _rate_for(cfg, params, mu)
+    try:
+        value, rep = _rate_for(cfg, params, mu)
+    except ValueError as exc:  # e.g. a T target the thermal gas cannot reach
+        raise ConfigError(f"infeasible rate target: {exc}") from exc
     payload = rep.to_json() if rep is not None else {
         "functional": "N", "value": value, "minimizer": None,
         "iterations": 0, "kkt_residual": 0.0, "mass_error": 0.0}
@@ -493,20 +485,8 @@ def run_rate(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def run_construct(cfg: ExperimentConfig, out_dir: Path) -> int:
-    c = cfg.construction
-    box = Box.cube(np.zeros(cfg.d), float(c.get("half_width", 1.0)))
-    cells = int(c.get("target_cells", 16))
-    target = GridMeasure.uniform(box, cells, 1.0 / box.volume)
-    try:
-        params = ConstructionParams(
-            target=target, N=int(c.get("N", 256)),
-            cube_size=float(c.get("cube_size", 0.5)),
-            separation=float(c.get("separation", 0.2)),
-            truncate_quantile=c.get("truncate_quantile"))
-    except ValueError as exc:
-        raise ConfigError(f"construction: {exc}") from exc
-    report = construct(params, seed=cfg.seed,
-                       volume_trials=int(c.get("volume_trials", 4)))
+    params = cfg.construction
+    report = construct(params, seed=cfg.seed, volume_trials=cfg.volume_trials)
     (out_dir / "construction.json").write_text(
         json.dumps(report.to_json(), sort_keys=True) + "\n")
     print(f"construction: N={params.N} min_sep={report.min_separation:.4f} "
@@ -532,36 +512,28 @@ def _ball_predicate(cfg: ExperimentConfig, params: RegimeParams,
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows = []
-    for N in cfg.N_grid:
-        for gamma in cfg.gamma_grid:
-            for lam in cfg.lambda_grid:
-                row = {"N": N, "gamma": float(_as_fraction(gamma)),
-                       "lambda": float(_as_fraction(lam)),
-                       "regime": classify_regime(gamma, lam),
-                       "ball_type": cfg.ball_type,
-                       "epsilon": cfg.ball_epsilon, "k": cfg.ball_k,
-                       "p_hat": math.nan, "stderr": math.nan,
-                       "rate_value": math.nan,
-                       "speed_sub": math.nan, "speed_super": math.nan}
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        params = RegimeParams(N=N, gamma=row["gamma"],
-                                              lam=row["lambda"],
-                                              R=cfg.R, d=cfg.d)
-                        row["speed_sub"] = params.speed_sub
-                        row["speed_super"] = params.speed_super
-                        mu = cfg.target_measure(N, row["lambda"])
-                        pred = _ball_predicate(cfg, params, mu)
-                        p_hat, err = estimate_event_probability(
-                            params, cfg.potential, pred, cfg.chains,
-                            cfg.seed, steps=cfg.steps, burn_in=cfg.burn_in)
-                        row["p_hat"], row["stderr"] = p_hat, err
-                        row["rate_value"] = _rate_for(cfg, params, mu)[0]
-                except Exception as exc:  # keep sweeping; the row records NaN
-                    print(f"row (N={N}, gamma={gamma}, lambda={lam}) "
-                          f"failed: {exc}", file=sys.stderr)
-                rows.append(row)
+    for (N, gamma, lam), params in cfg.regimes:
+        row = {"N": params.N, "gamma": params.gamma, "lambda": params.lam,
+               "regime": classify_regime(gamma, lam),
+               "ball_type": cfg.ball_type,
+               "epsilon": cfg.ball_epsilon, "k": cfg.ball_k,
+               "p_hat": math.nan, "stderr": math.nan, "rate_value": math.nan,
+               "speed_sub": params.speed_sub,
+               "speed_super": params.speed_super}
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                mu = cfg.target_measure(params.N, params.lam)
+                pred = _ball_predicate(cfg, params, mu)
+                p_hat, err = estimate_event_probability(
+                    params, cfg.potential, pred, cfg.chains,
+                    cfg.seed, steps=cfg.steps, burn_in=cfg.burn_in)
+                row["p_hat"], row["stderr"] = p_hat, err
+                row["rate_value"] = _rate_for(cfg, params, mu)[0]
+        except Exception as exc:  # keep sweeping; the row records NaN
+            print(f"row (N={N}, gamma={gamma}, lambda={lam}) "
+                  f"failed: {exc}", file=sys.stderr)
+        rows.append(row)
 
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="") as fh:

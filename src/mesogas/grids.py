@@ -31,6 +31,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from . import kernels
+
 
 # ---------------------------------------------------------------------------
 # geometry
@@ -374,10 +376,8 @@ def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
         raise ValueError(
             f"bl_distance: {n} sites exceed max_sites={max_sites}; "
             "coarsen the measures or raise the cap")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dd = np.sqrt(kernels._pair_r2(pts))
     iu, ju = np.triu_indices(n, k=1)
-    dd = dist[iu, ju]
     sel = dd < 2.0
     iu, ju, dd = iu[sel], ju[sel], dd[sel]
     p = iu.shape[0]

@@ -11,10 +11,12 @@ measure as
     H_N = N^2 E_beta(mu) + N sum_i zeta(x_i) + N^2 E_offdiag(emp - mu),
 
 where zeta = 2 h^mu + V - k and k = 2 E(mu) + int V dmu + ent[mu]/(N beta).
-The three terms telescope algebraically, so the identity holds to floating
-point provided the atom-to-continuum cross integrals are evaluated once and
-reused on both sides; atoms are smeared at one cell diagonal for those
-cross terms (atom-atom interactions stay raw, matching H_N itself).
+The thermal solution carries both constants: its objective is E_beta(mu),
+and k exceeds it by exactly E(mu). The three terms telescope algebraically,
+so the identity holds to floating point provided the atom-to-continuum
+cross integrals are evaluated once and reused on both sides; atoms are
+smeared at one cell diagonal for those cross terms (atom-atom interactions
+stay raw, matching H_N itself).
 
 Sampling is single-site Metropolis with Gaussian proposals, the scale
 auto-tuned toward 35% acceptance during burn-in and frozen afterward.
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .coulomb import default_smear_radius, energy as coulomb_energy, \
-    energy_offdiag, potential_at_points
+from .coulomb import default_smear_radius, energy_offdiag, \
+    potential_at_points
 from .grids import AtomicMeasure, Box, GridMeasure, bl_distance
 
 
@@ -58,11 +60,11 @@ class RegimeParams:
         if self.d < 3:
             raise ValueError("kernel |x|^{2-d} needs d >= 3")
         if self.N < 1:
-            raise ValueError("N must be a positive integer")
+            raise ValueError(f"N={self.N} must be a positive integer")
         if self.gamma <= 0:
-            raise ValueError("gamma must be positive (beta = N^-gamma)")
+            raise ValueError(f"gamma={self.gamma} must be positive")
         if not 0 <= self.lam < 1.0 / self.d:
-            raise ValueError("lambda must lie in [0, 1/d)")
+            raise ValueError(f"lambda={self.lam} must lie in [0, 1/d)")
         if self.R <= 0:
             raise ValueError("window half-width R must be positive")
         lo = (self.d - 2) / self.d
@@ -112,32 +114,24 @@ def splitting_decompose(X: np.ndarray, sol_thermal, N: int, beta: float
     Returns (main, zeta_sum, fluct) with main + zeta_sum + fluct = H_N(X)
     to floating point. The configuration must have exactly N points: the N
     weighting the potential is also the number of atoms the empirical
-    measure averages over, and the telescoping uses both readings.
+    measure averages over, and the telescoping uses both readings. (N, beta)
+    must be the ones the thermal solution was solved at, whose constants it
+    carries.
     """
     pts = np.ascontiguousarray(np.atleast_2d(X), dtype=float)
     if len(pts) != N:
         raise ValueError("splitting needs len(X) == N")
+    if (float(N), float(beta)) != (sol_thermal.N, sol_thermal.beta):
+        raise ValueError("splitting needs the (N, beta) of the thermal solve")
     mu = sol_thermal.measure
-    V = sol_thermal.potential
-    d = mu.d
-    nb = float(N) * float(beta)
-
-    dv = mu.cell_volume
-    rho = mu.density
-    e_mu = coulomb_energy(mu)
-    vgrid = V.on_grid(mu)
-    int_v = float(np.sum(vgrid * rho) * dv)
-    pos = rho > 0
-    ent_mu = float(np.sum(rho[pos] * np.log(rho[pos])) * dv)
-    k = 2.0 * e_mu + int_v + ent_mu / nb
+    k, objective = sol_thermal.k, sol_thermal.objective
 
     h_at = potential_at_points(mu, pts, smear_radius=default_smear_radius(mu))
-    v_at = V(pts)
-    pair = float(kernels.pairwise_g_sum(pts, d))
+    pair = float(kernels.pairwise_g_sum(pts, mu.d))
 
-    main = N * N * (e_mu + int_v + ent_mu / nb)
-    zeta_sum = N * float(np.sum(2.0 * h_at + v_at - k))
-    fluct = pair - 2.0 * N * float(np.sum(h_at)) + N * N * e_mu
+    main = N * N * objective
+    zeta_sum = N * float(np.sum(2.0 * h_at + sol_thermal.potential(pts) - k))
+    fluct = pair - 2.0 * N * float(np.sum(h_at)) + N * N * (k - objective)
     return main, zeta_sum, fluct
 
 

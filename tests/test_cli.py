@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from mesogas.cli import (SWEEP_COLUMNS, ConfigError, ExperimentConfig,
-                         _as_fraction, classify_regime, load_config, main,
-                         regress_speeds)
+                         classify_regime, load_config, main, regress_speeds)
 
 
 def base_config():
@@ -40,15 +39,10 @@ def config_path(tmp_path):
     return path
 
 
-def test_as_fraction_accepts_strings_and_floats():
-    assert _as_fraction("9/10") == Fraction(9, 10)
-    assert _as_fraction(2) == Fraction(2)
-    assert _as_fraction(0.5) == Fraction(1, 2)
-
-
 def test_classify_regime_exact_on_the_critical_line():
     assert classify_regime("9/10", "1/20") == "critical"
     assert classify_regime(Fraction(9, 10), Fraction(1, 20)) == "critical"
+    assert classify_regime(1, 0) == "critical"
     # binary floats land just off the line, and the classifier says so
     assert classify_regime(0.9, 0.05) != "critical"
     assert classify_regime(0.95, 0.05) == "subcritical"
@@ -119,6 +113,7 @@ def test_invalid_configs_exit_2_without_a_traceback(tmp_path, capsys):
         {"d": "three"},
         {"sampler": {"chains": 2, "steps": 100, "burn_in": 100}},
         {"construction": {"N": 64, "cube_size": 0.3, "separation": 0.2}},
+        {"grid": {"N": [8], "gamma": [0.3]}},
     ]
     for i, patch in enumerate(patches):
         obj = base_config()
@@ -148,6 +143,36 @@ def test_rate_command_runs_phi_and_t(tmp_path, functional, name):
     assert payload["functional"] == name
     assert math.isfinite(payload["value"]) and payload["value"] > 0.0
     assert payload["minimizer"]["density"]
+
+
+def test_infeasible_t_target_exits_2(tmp_path, capsys):
+    """The equilibrium density fills the window with mass 1.91, above the
+    dilated thermal mass 8^0.15 that the T rate can place there."""
+    obj = base_config()
+    obj["rate"] = {"functional": "t"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["rate", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam, flagged", [(0.05, "gamma=0.3"),
+                                          (0.0, "lambda=0")])
+def test_sample_warns_once_per_out_of_range_value(tmp_path, lam, flagged):
+    obj = base_config()
+    obj["grid"]["lambda"] = [lam]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sample", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert sum(flagged in str(w.message) for w in caught) == 1
 
 
 def test_verify_command_passes_and_writes_report(config_path, tmp_path,

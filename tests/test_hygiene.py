@@ -6,6 +6,8 @@ from pathlib import Path
 import mesogas
 
 SRC = Path(mesogas.__file__).parent
+TESTS = Path(__file__).parent
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _imported_names(tree):
@@ -34,3 +36,26 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in _imported_names(tree) if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_every_definition_is_referenced():
+    """Each module-level function and class of the package is referenced by
+    name somewhere in the package or the tests, outside its own definition.
+
+    A reference is a name or an attribute read; importing a name, listing it
+    in ``__all__`` or calling it only from its own body does not count.
+    """
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            own = top.name if isinstance(top, DEFINITIONS) else None
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else own)
+                if name != own:
+                    used.add(name)
+            if own and path.parent == SRC and path.name != "__init__.py":
+                defined.append((f"{path.name}:{top.lineno}", own))
+    unused = [f"{where} {name}" for where, name in defined if name not in used]
+    assert not unused, "unreferenced definitions: " + ", ".join(unused)

@@ -63,6 +63,9 @@ def test_splitting_requires_full_configuration(quad, thermal):
     sol = thermal(32)
     with pytest.raises(ValueError):
         splitting_decompose(np.zeros((4, 3)), sol, 32, 0.5)
+    # the constants it reuses belong to the solve's own (N, beta)
+    with pytest.raises(ValueError):
+        splitting_decompose(np.zeros((32, 3)), sol, 32, 0.5)
 
 
 def test_next_order_rewrite_is_exact(quad, thermal):
