@@ -380,12 +380,17 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     return checks
 
 
+def _messages(caught) -> list[str]:
+    # distinct warning texts, in the order first raised
+    return list(dict.fromkeys(str(w.message) for w in caught))
+
+
 def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
         checks = _verify_checks(cfg)
     passed = all(c["passed"] for c in checks)
-    report = {"checks": checks, "passed": passed,
+    report = {"checks": checks, "passed": passed, "warnings": _messages(caught),
               "seed": cfg.seed, "cells_per_axis": cfg.cells_per_axis}
     text = json.dumps(report, sort_keys=True, indent=2)
     (out_dir / "verify.json").write_text(text + "\n")
@@ -520,9 +525,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
                "p_hat": math.nan, "stderr": math.nan, "rate_value": math.nan,
                "speed_sub": params.speed_sub,
                "speed_super": params.speed_super}
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+        label = f"row (N={N}, gamma={gamma}, lambda={lam})"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            try:
                 mu = cfg.target_measure(params.N, params.lam)
                 pred = _ball_predicate(cfg, params, mu)
                 p_hat, err = estimate_event_probability(
@@ -530,9 +536,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
                     cfg.seed, steps=cfg.steps, burn_in=cfg.burn_in)
                 row["p_hat"], row["stderr"] = p_hat, err
                 row["rate_value"] = _rate_for(cfg, params, mu)[0]
-        except Exception as exc:  # keep sweeping; the row records NaN
-            print(f"row (N={N}, gamma={gamma}, lambda={lam}) "
-                  f"failed: {exc}", file=sys.stderr)
+            except Exception as exc:  # keep sweeping; the row records NaN
+                print(f"{label} failed: {exc}", file=sys.stderr)
+        for msg in _messages(caught):
+            print(f"{label} warned: {msg}", file=sys.stderr)
         rows.append(row)
 
     csv_path = out_dir / "sweep.csv"

@@ -18,8 +18,8 @@ Geometric conventions:
 * ``0 * log 0 = 0`` in every entropy.
 
 The bounded-Lipschitz distance is computed exactly on the discrete support
-(union of atoms and cell centers) as a linear program; callers pick the
-resolution they can afford.
+(union of atoms and cell centers) as a min-cost-flow linear program; callers
+pick the resolution they can afford.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-
-from . import kernels
+from scipy.spatial.distance import cdist
 
 
 # ---------------------------------------------------------------------------
@@ -349,49 +348,43 @@ def _site_list(m: Measure) -> tuple[np.ndarray, np.ndarray]:
 def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
     """Bounded-Lipschitz distance sup{ integral f d(a-b) : |f|<=1, Lip(f)<=1 }.
 
-    Exact on the union of the two supports: a linear program in the site
-    values of f with pair constraints |f_i - f_j| <= |x_i - x_j| (pairs at
-    distance >= 2 are dropped; the box bounds already enforce them).
+    Exact on the union of the two supports, solved as the dual of the LP in
+    the site values of f: a min-cost flow with one balance row per site.
+    Mass w_i = (a - b)({x_i}) leaves each source (w > 0) along arcs of cost
+    |x_i - x_j| to sinks (w < 0), or goes to a ground node at cost 1; each
+    sink takes what it lacks from ground at cost 1. The cost min(|x - y|, 2)
+    with ground at distance 1 is a metric, so a flow through an intermediate
+    site, or from source to source, shortcuts at no extra cost, and an arc of
+    length >= 2 is never cheaper than two trips through ground. Source->sink
+    arcs shorter than 2 and the ground columns therefore carry the optimum.
     """
     pa, wa = _site_list(a)
     pb, wb = _site_list(b)
-    pts = np.vstack([pa, pb])
-    w = np.concatenate([wa, -wb])
-    if pts.shape[0] == 0:
-        return 0.0
-    # merge coincident sites so the LP has no zero-distance pairs
-    order = np.lexsort(pts.T)
-    pts, w = pts[order], w[order]
-    first = np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])
-    w = np.bincount(np.cumsum(first) - 1, weights=w)
-    pts = pts[first]
+    # merge coincident sites: their masses cancel before any transport
+    pts, site = np.unique(np.vstack([pa, pb]), axis=0, return_inverse=True)
+    w = np.bincount(site.ravel(), weights=np.concatenate([wa, -wb]),
+                    minlength=pts.shape[0])
     nz = w != 0.0
     pts, w = pts[nz], w[nz]
     n = pts.shape[0]
     if n == 0:
         return 0.0
-    if n == 1:
-        return abs(float(w[0]))
     if n > max_sites:
         raise ValueError(
             f"bl_distance: {n} sites exceed max_sites={max_sites}; "
             "coarsen the measures or raise the cap")
-    dd = np.sqrt(kernels._pair_r2(pts))
-    iu, ju = np.triu_indices(n, k=1)
-    sel = dd < 2.0
-    iu, ju, dd = iu[sel], ju[sel], dd[sel]
-    p = iu.shape[0]
-    if p == 0:
-        return float(np.abs(w).sum())
-    rows = np.repeat(np.arange(2 * p), 2)
-    cols = np.concatenate([np.stack([iu, ju], 1).ravel(), np.stack([ju, iu], 1).ravel()])
-    vals = np.tile([1.0, -1.0], 2 * p)
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * p, n))
-    ub = np.concatenate([dd, dd])
-    res = linprog(-w, A_ub=A, b_ub=ub, bounds=[(-1.0, 1.0)] * n, method="highs")
-    if not res.success:  # pragma: no cover - HiGHS is reliable on these LPs
+    src, snk = np.flatnonzero(w > 0.0), np.flatnonzero(w < 0.0)
+    dd = cdist(pts[src], pts[snk])
+    i, j = np.nonzero(dd < 2.0)
+    m = i.size
+    cost = np.concatenate([dd[i, j], np.ones(n)])
+    rows = np.concatenate([src[i], snk[j], np.arange(n)])
+    cols = np.concatenate([np.arange(m), np.arange(m), m + np.arange(n)])
+    A = sparse.csc_matrix((np.ones(2 * m + n), (rows, cols)), shape=(n, m + n))
+    res = linprog(cost, A_eq=A, b_eq=np.abs(w), method="highs")
+    if not res.success:  # pragma: no cover - the ground columns keep it feasible
         raise RuntimeError(f"bl_distance LP failed: {res.message}")
-    return float(-res.fun)
+    return float(res.fun)
 
 
 # ---------------------------------------------------------------------------

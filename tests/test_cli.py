@@ -189,6 +189,22 @@ def test_verify_command_passes_and_writes_report(config_path, tmp_path,
     assert "PASS" in text and "FAIL " not in text
 
 
+def test_verify_records_warnings_raised_by_its_checks(config_path, tmp_path,
+                                                     monkeypatch):
+    import mesogas.cli as cli
+    real = cli.bl_distance
+
+    def warning_bl(a, b):
+        warnings.warn("planted by the bl-two-atoms check")
+        return real(a, b)
+
+    monkeypatch.setattr(cli, "bl_distance", warning_bl)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 0
+    report = json.loads((out / "verify.json").read_text())
+    assert report["warnings"].count("planted by the bl-two-atoms check") == 1
+
+
 def test_sample_command_writes_chains(config_path, tmp_path):
     out = tmp_path / "out"
     code = main(["sample", "--config", str(config_path), "--out", str(out)])

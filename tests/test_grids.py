@@ -4,6 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
+from scipy.spatial.distance import pdist
 
 from mesogas.grids import (AtomicMeasure, Box, GridMeasure, bl_distance,
                            box_mass, deposit, dilate, entropy, load_measure,
@@ -159,6 +164,104 @@ def test_bl_distance_site_cap():
     b = GridMeasure(box, 10, rng.uniform(0.1, 1.0, (10, 10, 10)))
     with pytest.raises(ValueError):
         bl_distance(a, b, max_sites=100)
+
+
+def _sites(m):
+    if isinstance(m, GridMeasure):
+        return m.cell_centers(), m.density.ravel() * m.cell_volume
+    return m.points, np.full(m.count, m.weight)
+
+
+def _bl_oracle(a, b):
+    """The BL distance as the inequality LP in the site values of f.
+
+    Every pair closer than 2 gets |f_i - f_j| <= |x_i - x_j| and every site
+    |f_i| <= 1; coincident sites are not merged.
+    """
+    pa, wa = _sites(a)
+    pb, wb = _sites(b)
+    pts = np.vstack([pa, pb])
+    w = np.concatenate([wa, -wb])
+    n = pts.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    dd = pdist(pts)
+    sel = dd < 2.0
+    iu, ju, dd = iu[sel], ju[sel], dd[sel]
+    p = iu.size
+    if p == 0:
+        return float(np.abs(w).sum())
+    rows = np.repeat(np.arange(2 * p), 2)
+    cols = np.concatenate([np.stack([iu, ju], 1).ravel(),
+                           np.stack([ju, iu], 1).ravel()])
+    A = sparse.csr_matrix((np.tile([1.0, -1.0], 2 * p), (rows, cols)),
+                          shape=(2 * p, n))
+    res = linprog(-w, A_ub=A, b_ub=np.concatenate([dd, dd]),
+                  bounds=[(-1.0, 1.0)] * n, method="highs")
+    assert res.success
+    return float(-res.fun)
+
+
+def _atoms(rng, n, half, weight):
+    return AtomicMeasure(rng.uniform(-half, half, (n, 3)), weight)
+
+
+def _family(name, rng):
+    box = Box.cube(np.zeros(3), 1.0)
+    if name == "coincident":
+        a = _atoms(rng, 12, 1.0, 0.1)
+        pb = np.vstack([a.points[:6], rng.uniform(-1, 1, (8, 3))])
+        return a, AtomicMeasure(pb, 0.1)
+    if name == "signed-grid":
+        rho = rng.uniform(-1.0, 1.0, (4, 4, 4))
+        return _atoms(rng, 10, 1.0, 0.05), GridMeasure(box, 4, rho, signed=True)
+    if name == "unequal-mass":
+        return _atoms(rng, 15, 1.5, 0.2), _atoms(rng, 7, 1.5, 0.05)
+    if name == "one-signed":
+        return GridMeasure(box, 3, rng.uniform(0.1, 1.0, (3, 3, 3))), \
+            GridMeasure.zeros(box, 3)
+    if name == "far-apart":
+        a = AtomicMeasure(np.arange(4)[:, None] * [2.5, 0.0, 0.0], 0.3)
+        return a, AtomicMeasure(a.points + [0.0, 2.1, 0.0], 0.7)
+    return _atoms(rng, 1, 1.0, 0.4), AtomicMeasure(np.zeros((0, 3)))
+
+
+FAMILIES = ["coincident", "signed-grid", "unequal-mass", "one-signed",
+            "far-apart", "single-site"]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_bl_distance_matches_the_inequality_lp(name):
+    rng = np.random.default_rng(FAMILIES.index(name))
+    for _ in range(5):
+        a, b = _family(name, rng)
+        want = _bl_oracle(a, b)
+        assert bl_distance(a, b) == pytest.approx(want, rel=1e-9, abs=1e-15)
+        if name in ("one-signed", "far-apart", "single-site"):
+            # no pair can cancel, so the optimum is the total mass
+            assert want == pytest.approx(mass(a) + mass(b), rel=1e-12)
+
+
+@st.composite
+def _atom_pair(draw):
+    def side():
+        n = draw(st.integers(1, 12))
+        # a coarse lattice in a cube of side 3 makes coincidences and pairs
+        # farther apart than 2 both likely
+        pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3),
+                            min_size=n, max_size=n))
+        weight = draw(st.floats(0.01, 2.0))
+        return AtomicMeasure(0.5 * np.asarray(pts, float), weight)
+    return side(), side()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_atom_pair())
+def test_bl_distance_property(pair):
+    a, b = pair
+    got = bl_distance(a, b)
+    assert got == pytest.approx(_bl_oracle(a, b), rel=1e-9, abs=1e-12)
+    assert got == pytest.approx(bl_distance(b, a), rel=1e-9, abs=1e-12)
+    assert got <= mass(a) + mass(b) + 1e-9
 
 
 def test_measure_json_roundtrip(tmp_path):

@@ -11,8 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mesogas.construction import (CubeTiling, cube_masses, energy_gap,
-                                  place_points, round_counts,
+from mesogas.construction import (CubeTiling, certify, cube_masses,
+                                  energy_gap, place_points, round_counts,
                                   separation_radius)
 from mesogas.equilibrium import solve_equilibrium, solve_thermal
 from mesogas.grids import Box, GridMeasure
@@ -57,13 +57,25 @@ def test_phi_rate_pinned():
     assert rep.value == pytest.approx(0.09054999632517027, rel=REL)
 
 
-def test_construction_energy_gap_pinned():
+def _construct_instance():
     """The construct instance of the benchmark: N = 320 on a 6-cell target."""
     box = Box.cube(np.zeros(3), 1.0)
     target = GridMeasure.uniform(box, 6, 1.0 / box.volume)
     tiling = CubeTiling.build(box, 0.25)
     counts = round_counts(cube_masses(target, tiling), 320)
-    config = place_points(counts, tiling, 0.2, seed=0)
+    return counts, place_points(counts, tiling, 0.2, seed=0), target
+
+
+def test_construction_energy_gap_pinned():
+    counts, config, target = _construct_instance()
     tau_min = separation_radius(counts, 0.25, 0.2, 3)
     gap, _ = energy_gap(config, target, tau_min)
     assert gap == pytest.approx(0.1849626073463101, rel=REL)
+
+
+def test_construction_bl_to_target_pinned():
+    """The 536-site BL LP; 1e-9 absolute is the benchmark's bl_ tolerance."""
+    _, config, target = _construct_instance()
+    report = certify(config, target, 0.25, 0.2)
+    assert report.bl_to_target == pytest.approx(0.22792132064819687,
+                                                rel=0, abs=1e-9)
