@@ -40,13 +40,12 @@ from .construction import ConstructionParams, construct
 from .equilibrium import Potential, solve_equilibrium, solve_thermal
 from .grids import AtomicMeasure, Box, GridMeasure, bl_distance, mass
 from .rates import ExteriorDomain, n_rate, phi_rate, t_rate
-from .sampler import (RegimeParams, ball_membership, chain_to_jsonl,
-                      estimate_event_probability, gibbs_sample,
-                      local_empirical_field)
+from .sampler import (RegimeParams, ball_scores, binomial_estimate,
+                      chain_to_jsonl, gibbs_sample, local_empirical_field)
 
 SWEEP_COLUMNS = ["N", "gamma", "lambda", "regime", "ball_type", "epsilon",
-                 "k", "p_hat", "stderr", "rate_value", "speed_sub",
-                 "speed_super"]
+                 "k", "p_hat", "stderr", "acceptance", "rate_value",
+                 "speed_sub", "speed_super"]
 
 
 class ConfigError(ValueError):
@@ -412,14 +411,23 @@ def _first_regime(cfg: ExperimentConfig) -> RegimeParams:
     return cfg.regimes[0][1]
 
 
-def run_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
-    params = _first_regime(cfg)
+def _run_chains(cfg: ExperimentConfig, params: RegimeParams):
+    """Every configured chain of one regime, stepped in lockstep.
+
+    Returns the proposals per chain and the burn-in (by default 200 N and
+    half of it) with one snapshot list per chain.
+    """
     steps = cfg.steps or 200 * params.N
     burn = cfg.burn_in if cfg.burn_in is not None else steps // 2
+    return steps, burn, gibbs_sample(params, cfg.potential, steps, burn,
+                                     cfg.seed, chain_index=range(cfg.chains))
+
+
+def run_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
+    params = _first_regime(cfg)
+    steps, burn, runs = _run_chains(cfg, params)
     summary = []
-    for c in range(cfg.chains):
-        states = gibbs_sample(params, cfg.potential, steps, burn,
-                              cfg.seed, chain_index=c)
+    for c, states in enumerate(runs):
         path = out_dir / f"chain_{c:03d}.jsonl"
         path.write_text(chain_to_jsonl(states))
         summary.append({"chain": c, "snapshots": len(states),
@@ -504,15 +512,18 @@ def run_construct(cfg: ExperimentConfig, out_dir: Path) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _ball_predicate(cfg: ExperimentConfig, params: RegimeParams,
-                    mu: GridMeasure):
-    eps, k = cfg.ball_epsilon, cfg.ball_k
-
-    def predicate(state) -> bool:
-        lemp = local_empirical_field(state.points, params)
-        return ball_membership(lemp, mu, eps, k, params, kind=cfg.ball_type)
-
-    return predicate
+def _ball_estimate(cfg: ExperimentConfig, params: RegimeParams,
+                   mu: GridMeasure) -> tuple[float, float, float]:
+    """Probability of the configured ball around mu, its standard error and
+    the mean final acceptance rate, from one lockstep run of the chains
+    whose snapshots are all scored against the ball in one call."""
+    _, _, runs = _run_chains(cfg, params)
+    fields = [local_empirical_field(state.points, params)
+              for states in runs for state in states]
+    scores = ball_scores(fields, mu, cfg.ball_k, params, kind=cfg.ball_type)
+    acceptance = float(np.mean([states[-1].acceptance_rate
+                                for states in runs]))
+    return (*binomial_estimate(scores < cfg.ball_epsilon), acceptance)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -522,7 +533,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
                "regime": classify_regime(gamma, lam),
                "ball_type": cfg.ball_type,
                "epsilon": cfg.ball_epsilon, "k": cfg.ball_k,
-               "p_hat": math.nan, "stderr": math.nan, "rate_value": math.nan,
+               "p_hat": math.nan, "stderr": math.nan,
+               "acceptance": math.nan, "rate_value": math.nan,
                "speed_sub": params.speed_sub,
                "speed_super": params.speed_super}
         label = f"row (N={N}, gamma={gamma}, lambda={lam})"
@@ -530,11 +542,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
             warnings.simplefilter("default")
             try:
                 mu = cfg.target_measure(params.N, params.lam)
-                pred = _ball_predicate(cfg, params, mu)
-                p_hat, err = estimate_event_probability(
-                    params, cfg.potential, pred, cfg.chains,
-                    cfg.seed, steps=cfg.steps, burn_in=cfg.burn_in)
-                row["p_hat"], row["stderr"] = p_hat, err
+                row["p_hat"], row["stderr"], row["acceptance"] = \
+                    _ball_estimate(cfg, params, mu)
                 row["rate_value"] = _rate_for(cfg, params, mu)[0]
             except Exception as exc:  # keep sweeping; the row records NaN
                 print(f"{label} failed: {exc}", file=sys.stderr)

@@ -34,6 +34,7 @@ so it is available for sphere smearing only.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,9 +346,9 @@ def interaction(a: Measure, b: Measure,
     return float(a.weight * np.sum(vals))
 
 
-def energy_offdiag(atoms: AtomicMeasure | None, grid: GridMeasure | None,
-                   box: Box | None = None,
-                   smear_radius: float | None = None) -> float:
+def energy_offdiag(atoms: AtomicMeasure | Sequence[AtomicMeasure] | None,
+                   grid: GridMeasure | None, box: Box | None = None,
+                   smear_radius: float | None = None) -> float | np.ndarray:
     """E^{neq}(atoms + grid): the energy with atomic self-pairs removed.
 
     The atoms' common weight may be negative: E^{neq}(grid - nu) is
@@ -356,19 +357,40 @@ def energy_offdiag(atoms: AtomicMeasure | None, grid: GridMeasure | None,
     (the windowed form E^{neq}_box); an atom outside the box then keeps its
     infinite self-energy and the value is +inf. Cross terms smear atoms at
     `smear_radius` (default: one cell diagonal of the grid).
+
+    `atoms` is an ``AtomicMeasure`` or None, and the value a float; or a
+    sequence of them, one per configuration, and the value an array with
+    one entry each. E(grid) is then evaluated once and one potential
+    evaluation covers the atoms of every configuration, each entry
+    equal to the single-configuration value.
     """
-    total = 0.0
-    if atoms is not None and atoms.count > 0:
-        if box is not None and not bool(np.all(box.contains(atoms.points))):
-            return math.inf
-        pair_sum = kernels.pairwise_g_sum(
-            np.ascontiguousarray(atoms.points), float(atoms.d))
-        total += atoms.weight ** 2 * pair_sum
-    if grid is not None:
-        total += energy(grid)
-        if atoms is not None and atoms.count > 0:
-            total += 2.0 * interaction(atoms, grid, smear_radius=smear_radius)
-    return float(total)
+    many = atoms is not None and not isinstance(atoms, AtomicMeasure)
+    configs = list(atoms) if many else [atoms]
+    total = np.zeros(len(configs))
+    inbox, crossed = [], []
+    for j, a in enumerate(configs):
+        if a is None or a.count == 0:
+            inbox.append(j)
+            continue
+        if box is not None and not bool(np.all(box.contains(a.points))):
+            total[j] = math.inf
+            continue
+        total[j] = a.weight ** 2 * kernels.pairwise_g_sum(
+            np.ascontiguousarray(a.points), float(a.d))
+        inbox.append(j)
+        crossed.append(j)
+    if grid is not None and inbox:
+        total[inbox] += energy(grid)
+        if crossed:
+            vals = potential_at_points(
+                grid, np.concatenate([configs[j].points for j in crossed]),
+                smear_radius=smear_radius)
+            start = 0
+            for j in crossed:
+                part = vals[start:start + configs[j].count]
+                total[j] += 2.0 * float(configs[j].weight * np.sum(part))
+                start += configs[j].count
+    return total if many else float(total[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Low-level numeric kernels, written with numpy.
 
 Conventions shared by all kernels:
-  * points are (n, d) float64 arrays, d >= 3
+  * points are (n, d) float64 arrays, d >= 3; the Metropolis kernel steps
+    C chains in lockstep on a (C, N, d) array
   * the interaction kernel is g(x) = |x|^(2-d)
   * a "smeared" evaluation replaces a point charge by the uniform ball of
     radius r around it; by Newton's theorem the resulting potential has the
@@ -17,6 +18,11 @@ import numpy as np
 # Always False: there is no compiled implementation. perfbench/worker.py
 # reads this constant for the machine facts it records.
 NUMBA_ENABLED = False
+
+# Point-cell pairs per block of grid_potential_at_points: 128 points on an
+# 8^3 grid, and one point per block on criterion 1's 48^3 grid, where
+# blocks of several points measured slower.
+BLOCK_ENTRIES = 1 << 16
 
 
 def _pair_r2(points):
@@ -39,6 +45,12 @@ def min_pairwise_distance(points):
     return float(np.sqrt(np.min(_pair_r2(points))))
 
 
+def _rowdot(a, b):
+    # a[i] @ b[i] for each row i (b may be one vector for all rows), with
+    # the arithmetic of the 1-D dot product, which row sums do not share
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _ball_g(r2, radius, d):
     # potential of the unit-mass uniform ball of `radius` at squared distance
     # r2; radius 0 is the raw kernel, +inf at r2 == 0
@@ -55,16 +67,20 @@ def grid_potential_at_points(density, centers, cellvol, points, radius, d):
     """h at `points` from the grid measure, each point smeared at `radius`.
 
     `density` is flat over the cells with the given `centers` and volume.
-    radius == 0 evaluates the raw kernel g(point - cell center).
+    radius == 0 evaluates the raw kernel g(point - cell center). Points are
+    evaluated in blocks of at most BLOCK_ENTRIES point-cell pairs (at least
+    one point per block), each point's value with the arithmetic of a point
+    evaluated alone.
     """
     out = np.zeros(points.shape[0])
     nz = density != 0.0
     centers = centers[nz]
     rho = density[nz]
-    for q in range(points.shape[0]):
-        diff = centers - points[q]
-        r2 = np.einsum("ik,ik->i", diff, diff)
-        out[q] = cellvol * float(rho @ _ball_g(r2, radius, d))
+    block = max(1, BLOCK_ENTRIES // max(rho.size, 1))
+    for s in range(0, points.shape[0], block):
+        diff = centers[None, :, :] - points[s:s + block, None, :]
+        r2 = np.einsum("qik,qik->qi", diff, diff)
+        out[s:s + block] = cellvol * _rowdot(_ball_g(r2, radius, d), rho)
     return out
 
 
@@ -80,33 +96,54 @@ def atoms_potential_on_grid(atoms, weight, centers, radius, d):
 
 def run_chain_quadratic(x, scale, beta, nweight, vcoef, d,
                         normals, unifs, sites, ham_in, V=None):
-    """Single-site Metropolis steps for V(x) = vcoef*|x|^2, or for a callable V.
+    """Single-site Metropolis steps of C chains in lockstep, for
+    V(x) = vcoef*|x|^2 or for a callable V.
 
-    The confinement increment is nweight*vcoef*(|new|^2 - |old|^2); when V
-    is given it is nweight*(V(new) - V(old)) instead and vcoef is unused.
-    Mutates x in place; returns (accepted moves, hamiltonian after the block).
-    Coincident proposals are rejected outright.
+    `x` is (C, N, d) and is mutated in place; `scale` and `ham_in` hold one
+    value per chain. `normals`, `unifs` and `sites` hold one row per
+    proposal, step-major: row t*C + c is chain c's proposal at step t.
+    Each chain's arithmetic is that of a chain stepped alone, so its
+    trajectory does not depend on the others. The confinement increment is
+    nweight*vcoef*(|new|^2 - |old|^2); when V is given it is
+    nweight*(V(new) - V(old)) instead, V called once per step on the (C, d)
+    points, and vcoef is unused. A coincident proposal has an infinite
+    increment and is rejected.
+    Returns (total accepted, hamiltonians (C,), accepted per chain (C,)).
     """
-    nsteps = normals.shape[0]
+    C, N = x.shape[0], x.shape[1]
+    steps = len(normals) // C
+    normals = normals.reshape(steps, C, d)
+    unifs = unifs.reshape(steps, C)
+    sites = sites.reshape(steps, C)
+    scale = np.asarray(scale, dtype=float).reshape(C, 1)
     p = 0.5 * (2.0 - d)
-    accepted = 0
-    ham = ham_in
-    for t in range(nsteps):
-        i = int(sites[t])
-        old = x[i].copy()
-        new = old + scale * normals[t]
-        others = np.delete(x, i, axis=0)
-        r2o = np.einsum("ik,ik->i", others - old, others - old)
-        r2n = np.einsum("ik,ik->i", others - new, others - new)
-        if np.any(r2n == 0.0):
-            continue
-        dpair = 2.0 * float(np.sum(r2n ** p - r2o ** p))
-        if V is None:
-            dham = dpair + nweight * vcoef * float(new @ new - old @ old)
-        else:
-            dham = dpair + nweight * float(V(new[None, :])[0] - V(old[None, :])[0])
-        if dham <= 0.0 or unifs[t] < np.exp(-beta * dham):
-            x[i] = new
-            ham += dham
-            accepted += 1
-    return accepted, ham
+    ham = np.array(ham_in, dtype=float).reshape(C)
+    accepted = np.zeros(C, dtype=np.int64)
+    chains = np.arange(C)
+    lower = np.arange(N - 1)
+    # exp(-beta*dham) overflows for steep downhill moves, which dham <= 0
+    # accepts anyway; a coincident proposal divides by zero, and its
+    # dham = +inf is rejected
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for t in range(steps):
+            i = sites[t]
+            # the other particles in their own order, as np.delete leaves
+            # them, so each pair sum adds up as a chain's alone would
+            others = x[chains[:, None], lower + (lower >= i[:, None])]
+            old = x[chains, i]
+            new = old + scale * normals[t]
+            diff_old = others - old[:, None, :]
+            diff_new = others - new[:, None, :]
+            r2o = np.einsum("cik,cik->ci", diff_old, diff_old)
+            r2n = np.einsum("cik,cik->ci", diff_new, diff_new)
+            dham = 2.0 * np.add.reduce(r2n ** p - r2o ** p, axis=1)
+            if V is None:
+                dham += nweight * vcoef * (_rowdot(new, new)
+                                           - _rowdot(old, old))
+            else:
+                dham += nweight * (V(new) - V(old))
+            take = (dham <= 0.0) | (unifs[t] < np.exp(-beta * dham))
+            x[chains, i] = np.where(take[:, None], new, old)
+            ham += np.where(take, dham, 0.0)
+            accepted += take
+    return int(accepted.sum()), ham, accepted

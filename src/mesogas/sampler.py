@@ -20,14 +20,20 @@ stay raw, matching H_N itself).
 
 Sampling is single-site Metropolis with Gaussian proposals, the scale
 auto-tuned toward 35% acceptance during burn-in and frozen afterward.
-Chains are deterministic given (seed, chain index).
+Chains are deterministic given (seed, chain index). Several chains step in
+lockstep, one kernel call per block for all of them, but each keeps its own
+random stream, draw order and proposal scale, so its trajectory is the same
+bit for bit whether it runs alone or beside others. ``ball_scores`` tests a
+whole stack of snapshots against a ball at once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,39 +177,49 @@ def _propose_batch(rng, n_props: int, N: int, d: int):
 
 
 def gibbs_sample(params: RegimeParams, V, steps: int, burn_in: int,
-                 seed: int, chain_index: int = 0,
-                 initial: np.ndarray | None = None) -> list[ChainState]:
-    """Metropolis chain for (1/Z) exp(-beta H_N); returns thinned snapshots.
+                 seed: int, chain_index: int | Sequence[int] = 0
+                 ) -> list[ChainState] | list[list[ChainState]]:
+    """Metropolis chains for (1/Z) exp(-beta H_N); returns thinned snapshots.
 
-    Proposals are single-site Gaussian moves. During burn-in the scale is
-    retuned every window toward 35% acceptance, then frozen. One sample is
-    recorded every N proposals after burn-in. The RNG stream is derived
-    from (seed, chain_index), so trajectories are reproducible and chains
-    with different indices are independent.
+    Proposals are single-site Gaussian moves. During burn-in each chain's
+    scale is retuned every window toward 35% acceptance, then frozen. One
+    sample is recorded every N proposals after burn-in. Each chain draws
+    from its own RNG stream, derived from (seed, chain_index), so
+    trajectories are reproducible and chains with different indices are
+    independent.
+
+    `chain_index` is one index, whose snapshot list is returned, or a
+    sequence of indices, whose chains step in lockstep through one kernel
+    call per block and come back as one snapshot list each. A chain's
+    snapshots are the same bit for bit whichever chains run beside it.
     """
     if not steps > burn_in >= 0:
         raise ValueError("need steps > burn_in >= 0")
+    many = not isinstance(chain_index, numbers.Integral)
+    indices = list(chain_index) if many else [chain_index]
+    if not indices:
+        raise ValueError("need at least one chain")
     N, d, beta = params.N, params.d, params.beta
-    rng = np.random.default_rng((seed, chain_index))
+    C = len(indices)
+    rngs = [np.random.default_rng((seed, c)) for c in indices]
 
     quadratic = getattr(V, "kind", None) == "quadratic"
-    if initial is not None:
-        x = np.array(initial, dtype=float).reshape(N, d)
-    else:
-        init_scale = 1.0 / math.sqrt(2.0 * max(N * beta, 1e-12))
-        if quadratic:
-            init_scale /= math.sqrt(V.coef)
-        x = rng.standard_normal((N, d)) * max(init_scale, 1e-3)
+    init_scale = 1.0 / math.sqrt(2.0 * max(N * beta, 1e-12))
+    if quadratic:
+        init_scale /= math.sqrt(V.coef)
+    x = np.empty((C, N, d))
+    ham = np.empty(C)
+    for c, rng in enumerate(rngs):
+        x[c] = rng.standard_normal((N, d)) * max(init_scale, 1e-3)
+        ham[c] = hamiltonian(x[c], V, N, d)
+        while not math.isfinite(ham[c]):
+            x[c] = rng.standard_normal((N, d))
+            ham[c] = hamiltonian(x[c], V, N, d)
 
-    ham = hamiltonian(x, V, N, d)
-    while not math.isfinite(ham):
-        x = rng.standard_normal((N, d))
-        ham = hamiltonian(x, V, N, d)
-
-    scale = 0.5 / max(N * beta, 1.0) ** 0.5
-    accepted_total = 0
+    scale = [0.5 / max(N * beta, 1.0) ** 0.5] * C
+    accepted_total = np.zeros(C, dtype=np.int64)
     step = 0
-    out: list[ChainState] = []
+    out: list[list[ChainState]] = [[] for _ in indices]
     tune_window = max(50, 10 * N)
 
     vcoef, general_v = (float(V.coef), None) if quadratic else (0.0, V)
@@ -211,47 +227,57 @@ def gibbs_sample(params: RegimeParams, V, steps: int, burn_in: int,
         # V is +inf off its table's box, so such proposals are rejected
         general_v = lambda p: V.table.density_at(p, fill=np.inf)
 
-    def run(n_props, cur_scale, cur_ham):
-        sites, normals, unifs = _propose_batch(rng, n_props, N, d)
-        acc, new_ham = kernels.run_chain_quadratic(
-            x, cur_scale, beta, float(N), vcoef, d,
-            normals, unifs, sites, cur_ham, V=general_v)
-        return int(acc), float(new_ham)
+    def run(n_props):
+        # each chain draws its block from its own stream; rows step-major
+        sites = np.empty((n_props, C), dtype=np.int64)
+        normals = np.empty((n_props, C, d))
+        unifs = np.empty((n_props, C))
+        for c, rng in enumerate(rngs):
+            sites[:, c], normals[:, c], unifs[:, c] = _propose_batch(
+                rng, n_props, N, d)
+        _, ham[:], acc = kernels.run_chain_quadratic(
+            x, np.array(scale), beta, float(N), vcoef, d,
+            normals.reshape(n_props * C, d), unifs.reshape(-1),
+            sites.reshape(-1), ham, V=general_v)
+        return acc
 
     # burn-in with scale tuning
     done = 0
     while done < burn_in:
         n = min(tune_window, burn_in - done)
-        acc, ham = run(n, scale, ham)
+        acc = run(n)
         accepted_total += acc
         done += n
         step += n
-        rate = acc / n
-        scale *= math.exp(1.2 * (rate - 0.35))
-        scale = min(max(scale, 1e-6), 1e3)
+        for c in range(C):
+            rate = int(acc[c]) / n
+            scale[c] *= math.exp(1.2 * (rate - 0.35))
+            scale[c] = min(max(scale[c], 1e-6), 1e3)
 
     # sampling with frozen scale
     since_check = 0
     remaining = steps - burn_in
     while remaining > 0:
         n = min(N, remaining)
-        acc, ham = run(n, scale, ham)
-        accepted_total += acc
+        accepted_total += run(n)
         step += n
         remaining -= n
         since_check += 1
         if since_check >= 25:
             since_check = 0
-            exact = hamiltonian(x, V, N, d)
-            if abs(exact - ham) > 1e-8 * max(1.0, abs(exact)):
-                warnings.warn("hamiltonian drift "
-                              f"{abs(exact - ham):.2e}; resynced")
-            ham = exact
-        out.append(ChainState(points=x.copy(), hamiltonian=ham, step=step,
-                              accepted=accepted_total,
-                              stream_id=(seed, chain_index),
-                              proposal_scale=scale))
-    return out
+            for c in range(C):
+                exact = hamiltonian(x[c], V, N, d)
+                if abs(exact - ham[c]) > 1e-8 * max(1.0, abs(exact)):
+                    warnings.warn("hamiltonian drift "
+                                  f"{abs(exact - ham[c]):.2e}; resynced")
+                ham[c] = exact
+        for c in range(C):
+            out[c].append(ChainState(points=x[c].copy(),
+                                     hamiltonian=float(ham[c]), step=step,
+                                     accepted=int(accepted_total[c]),
+                                     stream_id=(seed, indices[c]),
+                                     proposal_scale=scale[c]))
+    return out if many else out[0]
 
 
 def local_empirical_field(X: np.ndarray, params: RegimeParams) -> AtomicMeasure:
@@ -266,28 +292,55 @@ def local_empirical_field(X: np.ndarray, params: RegimeParams) -> AtomicMeasure:
     return AtomicMeasure(points=pts[keep].copy(), weight=weight)
 
 
-def ball_membership(nu: AtomicMeasure, mu: GridMeasure, eps: float, k: float,
-                    params: RegimeParams, kind: str = "energy") -> bool:
-    """Whether nu lies in the radius-eps ball around mu.
+def ball_scores(fields: Sequence[AtomicMeasure], mu: GridMeasure, k: float,
+                params: RegimeParams, kind: str = "energy") -> np.ndarray:
+    """Distance of each local field from mu in the ball's own sense.
 
-    kind="energy": |E_offdiag(mu - nu)| < eps and every atom at least
-    k N^{-1/d} inside the window boundary. kind="bl": bounded-Lipschitz
-    distance < eps (no support shrinkage; the two ball notions are kept
+    kind="energy": |E_offdiag(mu - nu)|, or +inf when an atom lies within
+    k N^{-1/d} of the window boundary; one ``energy_offdiag`` call scores
+    every field that stays inside. kind="bl": the bounded-Lipschitz
+    distance, with no support shrinkage (the two ball notions are kept
     separate deliberately).
     """
     if kind == "bl":
-        return bool(bl_distance(nu, mu) < eps)
+        return np.array([bl_distance(nu, mu) for nu in fields], dtype=float)
     if kind != "energy":
         raise ValueError("ball kind must be 'energy' or 'bl'")
+    scores = np.full(len(fields), np.inf)
     shrink = params.R - k * float(params.N) ** (-1.0 / params.d)
     if shrink <= 0:
-        return False
-    if nu.count:
-        inner = Box.cube(np.zeros(params.d), shrink)
-        if not np.all(inner.contains(nu.points)):
-            return False
-    gap = energy_offdiag(AtomicMeasure(nu.points, -nu.weight), mu)
-    return bool(abs(gap) < eps)
+        return scores
+    inner = Box.cube(np.zeros(params.d), shrink)
+    inside = [j for j, nu in enumerate(fields)
+              if not nu.count or np.all(inner.contains(nu.points))]
+    if inside:
+        gaps = energy_offdiag(
+            [AtomicMeasure(fields[j].points, -fields[j].weight)
+             for j in inside], mu)
+        scores[inside] = np.abs(gaps)
+    return scores
+
+
+def ball_membership(nu: AtomicMeasure, mu: GridMeasure, eps: float, k: float,
+                    params: RegimeParams, kind: str = "energy") -> bool:
+    """Whether nu lies in the radius-eps ball around mu (see ``ball_scores``)."""
+    return bool(ball_scores([nu], mu, k, params, kind)[0] < eps)
+
+
+def binomial_estimate(hits: Sequence[bool]) -> tuple[float, float]:
+    """Hit fraction of a sample and its binomial standard error.
+
+    A zero-hit estimate reports the one-sided rule-of-three bound 3/n as its
+    error bar; an empty sample gives (0, 1).
+    """
+    n = len(hits)
+    if n == 0:
+        return 0.0, 1.0
+    count = int(np.count_nonzero(hits))
+    if count == 0:
+        return 0.0, 3.0 / n
+    p_hat = count / n
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
 def estimate_event_probability(params: RegimeParams, V, predicate,
@@ -297,25 +350,13 @@ def estimate_event_probability(params: RegimeParams, V, predicate,
                                ) -> tuple[float, float]:
     """Fraction of thinned post-burn-in samples where predicate(state) holds.
 
-    Standard error is binomial; a zero-hit estimate reports the one-sided
-    rule-of-three bound 3/n as its error bar.
+    All chains run in lockstep in one ``gibbs_sample`` call; the estimate
+    and its error bar come from ``binomial_estimate``.
     """
-    if n_chains < 1:
-        raise ValueError("need at least one chain")
     if steps is None:
         steps = 200 * params.N
     if burn_in is None:
         burn_in = steps // 2
-    hits = 0
-    n = 0
-    for c in range(n_chains):
-        for state in gibbs_sample(params, V, steps, burn_in, seed, c):
-            n += 1
-            if predicate(state):
-                hits += 1
-    if n == 0:
-        return 0.0, 1.0
-    p_hat = hits / n
-    if hits == 0:
-        return 0.0, 3.0 / n
-    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)
+    runs = gibbs_sample(params, V, steps, burn_in, seed, range(n_chains))
+    return binomial_estimate([bool(predicate(state))
+                              for states in runs for state in states])

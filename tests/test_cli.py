@@ -269,6 +269,7 @@ def test_sweep_command_is_deterministic(config_path, tmp_path):
     assert len(rows) == 1
     assert rows[0]["regime"] == "supercritical"
     assert 0.0 <= float(rows[0]["p_hat"]) <= 1.0
+    assert 0.0 < float(rows[0]["acceptance"]) < 1.0
     regression = json.loads((out_a / "sweep_regression.json").read_text())
     assert "groups" in regression
 

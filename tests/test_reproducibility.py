@@ -1,23 +1,30 @@
-"""Solver outputs pinned to recorded values.
+"""Solver and sampler outputs pinned to recorded values.
 
 Each solver is deterministic, so a refactor that keeps its arithmetic keeps
 these numbers to the last few bits; 1e-10 relative leaves room only for
-reassociated floating-point sums.
+reassociated floating-point sums. Metropolis chains are pinned exactly:
+their accept decisions, and so every later state, would drift with any
+change to the step arithmetic.
 """
 
+import csv
+import hashlib
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from mesogas.cli import main
 from mesogas.construction import (CubeTiling, certify, cube_masses,
                                   energy_gap, place_points, round_counts,
                                   separation_radius)
 from mesogas.equilibrium import solve_equilibrium, solve_thermal
 from mesogas.grids import Box, GridMeasure
 from mesogas.rates import ExteriorDomain, phi_rate, t_rate
-from mesogas.sampler import RegimeParams
+from mesogas.sampler import RegimeParams, gibbs_sample
+from test_cli import base_config
 
 REL = 1e-10
 
@@ -79,3 +86,59 @@ def test_construction_bl_to_target_pinned():
     report = certify(config, target, 0.25, 0.2)
     assert report.bl_to_target == pytest.approx(0.22792132064819687,
                                                 rel=0, abs=1e-9)
+
+
+def _sweep_energy_config():
+    """The sweep_energy workload of the benchmark. Its ball does not depend
+    on the rate functional, so the cheap N rate stands in for T."""
+    return {"d": 3, "potential": {"kind": "quadratic", "coef": 1.0},
+            "grid": {"N": [16, 32, 64], "gamma": [0.3], "lambda": [0.05]},
+            "R": 1.0, "ball": {"type": "energy", "epsilon": 0.5, "k": 0.0},
+            "target": {"kind": "uniform", "value": 0.1},
+            "solver": {"cells_per_axis": 16, "tol": 1e-8, "window_cells": 8,
+                       "exterior_factor": 4},
+            "sampler": {"chains": 4, "steps": 2400, "burn_in": 1200},
+            "rate": {"functional": "n"}, "seed": 0}
+
+
+def test_sweep_chain_pinned(quad):
+    """Chain 3 of the N = 64 row of sweep_energy at seed 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # gamma = 0.3 is exploratory
+        params = RegimeParams(64, 0.3, 0.05)
+    states = gibbs_sample(params, quad, 2400, 1200, seed=0, chain_index=3)
+    assert [s.accepted for s in states] == [
+        768, 801, 838, 870, 897, 924, 950, 980, 1008, 1036, 1063, 1086,
+        1114, 1139, 1166, 1200, 1224, 1251, 1262]
+    points = np.stack([s.points for s in states]).tobytes()
+    assert hashlib.sha256(points).hexdigest() == (
+        "799cf269ab7d2a92acafef5cf2c1450f42c91502caf52c37c1d2bbea6e40ae9e")
+    assert states[-1].hamiltonian == 7089.39912544931
+
+
+def test_sweep_p_hat_pinned(tmp_path):
+    """The benchmark compares these estimates exactly."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_sweep_energy_config()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "sweep.csv") as fh:
+        p_hat = [float(row["p_hat"]) for row in csv.DictReader(fh)]
+    assert p_hat == [1.0, 1.0, 0.5657894736842105]
+
+
+def test_sample_chain_files_pinned(tmp_path):
+    """Every byte `mesogas sample` writes for the CLI tests' base config."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["sample", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+    digest = hashlib.sha256()
+    for chain in sorted((tmp_path / "out").glob("chain_*.jsonl")):
+        digest.update(chain.read_bytes())
+    assert digest.hexdigest() == (
+        "f9cb632e6df63ffe0d9a591d63a3f46d094a0e6dd6873b4a8cbc23869061833a")

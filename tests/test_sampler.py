@@ -6,14 +6,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesogas.coulomb import energy, energy_offdiag, interaction
 from mesogas.equilibrium import Potential
-from mesogas.grids import AtomicMeasure, GridMeasure, Box, mass
+from mesogas.grids import AtomicMeasure, GridMeasure, Box, bl_distance, mass
 from mesogas.kernels import pairwise_g_sum
-from mesogas.sampler import (RegimeParams, ball_membership, chain_to_jsonl,
-                             estimate_event_probability, gibbs_sample,
-                             hamiltonian, local_empirical_field,
+from mesogas.sampler import (RegimeParams, ball_membership, ball_scores,
+                             chain_to_jsonl, estimate_event_probability,
+                             gibbs_sample, hamiltonian, local_empirical_field,
                              splitting_decompose)
 
 
@@ -122,12 +124,16 @@ def test_callable_potential_chain_matches_quadratic(quad):
     assert all(np.array_equal(a.points, b.points) for a, b in zip(plain, ref))
 
 
+def _tabulated(quad, half_width):
+    like = GridMeasure.zeros(Box.cube(np.zeros(3), half_width), 8)
+    return Potential("tabulated",
+                     table=like.with_density(quad.on_grid(like), signed=False))
+
+
 def test_tabulated_potential_chain_keeps_hamiltonian(quad):
     """60 sampling sweeps pass the every-25-sweeps exact recheck twice."""
     p = make_params(N=16)
-    like = GridMeasure.zeros(Box.cube(np.zeros(3), 3.0), 8)
-    tab = Potential("tabulated",
-                    table=like.with_density(quad.on_grid(like), signed=False))
+    tab = _tabulated(quad, 3.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         states = gibbs_sample(p, tab, 80 * 16, 20 * 16, seed=6)
@@ -141,10 +147,8 @@ def test_tabulated_potential_chain_keeps_hamiltonian(quad):
 def test_tabulated_potential_rejects_moves_off_its_box(quad):
     """A proposal leaving the table's box sees V = +inf and is rejected."""
     p = make_params(N=16)
-    table_box = Box.cube(np.zeros(3), 1.5)
-    like = GridMeasure.zeros(table_box, 8)
-    tab = Potential("tabulated",
-                    table=like.with_density(quad.on_grid(like), signed=False))
+    tab = _tabulated(quad, 1.5)
+    table_box = tab.table.box
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         runs = [gibbs_sample(p, tab, 80 * 16, 20 * 16, seed=0, chain_index=c)
@@ -154,6 +158,42 @@ def test_tabulated_potential_rejects_moves_off_its_box(quad):
         for s in states:
             assert np.all(table_box.contains(s.points))
     assert not [w for w in caught if "drift" in str(w.message)]
+
+
+@pytest.mark.parametrize("kind, N", [("quadratic", 16), ("callable", 16),
+                                     ("tabulated", 16), ("quadratic", 1)])
+def test_lockstep_chains_match_chains_run_alone(quad, kind, N):
+    """Chain c of a lockstep batch is gibbs_sample(..., chain_index=c),
+    field for field; the table's box is small enough that some proposals
+    leave it."""
+    V = {"quadratic": quad,
+         "callable": lambda q: np.einsum("ik,ik->i", q, q),
+         "tabulated": _tabulated(quad, 1.5)}[kind]
+    p = make_params(N=N)
+    steps, burn = 30 * max(N, 16), 10 * max(N, 16)
+    batch = gibbs_sample(p, V, steps, burn, seed=4, chain_index=[0, 3, 1])
+    assert len(batch) == 3
+    for c, states in zip([0, 3, 1], batch):
+        alone = gibbs_sample(p, V, steps, burn, seed=4, chain_index=c)
+        assert len(states) == len(alone)
+        for s, t in zip(states, alone):
+            assert np.array_equal(s.points, t.points)
+            assert (s.hamiltonian, s.step, s.accepted, s.stream_id,
+                    s.proposal_scale) == (t.hamiltonian, t.step, t.accepted,
+                                          t.stream_id, t.proposal_scale)
+
+
+def test_chains_raise_no_runtime_warnings(quad):
+    """A cold chain, whose downhill moves overflow exp(-beta dH), and a
+    tabulated chain proposing moves off its table both run silently."""
+    p = make_params(N=8)
+    stiff = lambda q: 1e4 * np.einsum("ik,ik->i", q, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gibbs_sample(p, stiff, 40 * 8, 20 * 8, seed=1, chain_index=range(2))
+        states = gibbs_sample(p, _tabulated(quad, 1.0), 40 * 8, 20 * 8,
+                              seed=1, chain_index=range(2))
+    assert all(len(s) == 20 for s in states)
 
 
 def test_single_particle_chain_matches_gaussian(quad):
@@ -205,6 +245,51 @@ def test_ball_membership_kinds(quad, thermal):
     assert not ball_membership(lemp, mu, 1e9, 1e9, p, kind="energy")
     with pytest.raises(ValueError):
         ball_membership(lemp, mu, 0.1, 0.5, p, kind="euclid")
+
+
+_BALL_MU = GridMeasure(Box.cube(np.zeros(3), 1.0), 4,
+                       np.random.default_rng(3).uniform(0.0, 0.3, (4, 4, 4)))
+
+
+@st.composite
+def _field_stack(draw):
+    N = draw(st.sampled_from([1, 2, 8, 64]))
+    k = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    p = make_params(N=N, lam=0.05)
+    shrink = p.R - k * float(N) ** (-1.0 / 3)
+    # a coarse lattice through the shrunken boundary and the window's
+    # centre puts atoms on the boundary and on top of one another
+    coords = st.sampled_from(sorted({-0.9, -0.5 * shrink, 0.0, 0.3,
+                                     0.5 * shrink, shrink, -shrink}))
+    fields = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(0, 5))
+        pts = draw(st.lists(st.tuples(coords, coords, coords),
+                            min_size=n, max_size=n))
+        fields.append(AtomicMeasure(np.asarray(pts, float).reshape(n, 3),
+                                    float(N) ** (0.05 * 3 - 1.0)))
+    return p, k, draw(st.sampled_from(["energy", "bl"])), fields
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_field_stack())
+def test_ball_scores_match_each_field_scored_alone(stack):
+    p, k, kind, fields = stack
+    scores = ball_scores(fields, _BALL_MU, k, p, kind=kind)
+    shrink = p.R - k * float(p.N) ** (-1.0 / 3)
+    inner = Box.cube(np.zeros(3), shrink)
+    for nu, score in zip(fields, scores):
+        if kind == "bl":
+            want = bl_distance(nu, _BALL_MU)
+        elif shrink <= 0 or not np.all(inner.contains(nu.points)):
+            want = math.inf
+        else:
+            want = abs(energy_offdiag(AtomicMeasure(nu.points, -nu.weight),
+                                      _BALL_MU))
+        assert score == want
+        for eps in (0.05, 0.5, 5.0):
+            assert ball_membership(nu, _BALL_MU, eps, k, p,
+                                   kind=kind) == (want < eps)
 
 
 def test_estimate_event_probability_bounds(quad):
