@@ -5,7 +5,11 @@ Quadrature policy
 Grid-grid quadratic forms are midpoint cell-to-cell sums with the analytic
 kernel. On a regular lattice that sum is a discrete convolution, so it is
 evaluated exactly (up to roundoff) with FFTs; ``GridKernel`` caches the
-transformed lattice kernel per geometry. The zero-offset coefficient is the
+transformed lattice kernel per geometry. The transform is pruned: it runs
+only over the 1-D lines that the zero padding leaves non-zero and keeps only
+the outputs the caller reads, in pocketfft's own ``rfftn``/``irfftn`` pass
+order and with its one final scale, so its output is bit-identical to the
+full padded transform. The zero-offset coefficient is the
 self-interaction of the uniform ball with the cell's volume,
 
     E(ball of radius a, unit mass) = 2d/(d+2) * a^(2-d),
@@ -38,7 +42,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len, rfftn, irfftn
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftn
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
@@ -210,14 +214,33 @@ class GridKernel:
         K[nz] = r2[nz] ** (0.5 * (2.0 - d))
         K[tuple([0] * d)] = cell_self_interaction(self.cell_volume, d)
         self._Kf = rfftn(K)
-        self._K0 = K[tuple([0] * d)]
+        # the inverse scale pocketfft applies, 1/size rounded via long double
+        # (1.0 / size in double differs in the last bit for some sizes)
+        self._inv_size = float(1 / np.longdouble(math.prod(self._pad)))
 
     def potential(self, rho: np.ndarray) -> np.ndarray:
-        pad = np.zeros(self._pad)
-        pad[tuple(slice(0, self.n) for _ in range(self.d))] = rho
-        conv = irfftn(rfftn(pad) * self._Kf, s=self._pad)
-        sl = tuple(slice(0, self.n) for _ in range(self.d))
-        return conv[sl] * self.cell_volume
+        """Zero-padded convolution of rho with K, pruned to non-zero lines.
+
+        Forward: r2c on the last axis over the n^(d-1) input lines, then c2c
+        on axes 0..d-2, each pass only over lines not yet known to be zero.
+        Inverse: unscaled c2c on axes 0..d-2 and c2r on the last axis, each
+        keeping its first n outputs, then the one 1/size scale. This is
+        ``irfftn(rfftn(padded) * Kf)`` restricted to the n^d corner, float
+        for float.
+        """
+        n, last, pad = self.n, self.d - 1, self._pad
+        # float64 as in the padded array, even for a float32 rho
+        a = rfft(np.asarray(rho, dtype=float), n=pad[-1], axis=last)
+        for k in range(last):
+            a = fft(a, n=pad[k], axis=k, overwrite_x=True)
+        a *= self._Kf
+        for k in range(last):
+            a = ifft(a, axis=k, norm="forward", overwrite_x=True)
+            a = a[(slice(None),) * k + (slice(0, n),)]
+        h = irfft(a, n=pad[-1], axis=last, norm="forward")[..., :n]
+        out = h * self._inv_size
+        out *= self.cell_volume
+        return out
 
     @property
     def lipschitz(self) -> float:

@@ -335,7 +335,8 @@ def alpha_minimizer(i_N: float, N: float, thermal_sol,
 
 def _t_minimize(q_fixed: np.ndarray, logw: np.ndarray, target_mass: float,
                 domain: ExteriorDomain, include_energy: bool,
-                tol: float, max_iter: int) -> tuple[np.ndarray, float, float, int]:
+                tol: float, max_iter: int
+                ) -> tuple[np.ndarray, np.ndarray | None, float, float, int]:
     """Entropic mirror descent for min_nu E(q_fixed+nu) + ent[nu|w].
 
     nu lives on exterior cells with exact mass target_mass (renormalized
@@ -343,7 +344,8 @@ def _t_minimize(q_fixed: np.ndarray, logw: np.ndarray, target_mass: float,
     (elsewhere nu must vanish), so every array stays finite. The gradient
     in log coordinates is log nu - log w + 1 + 2 h, so the mirror-descent
     target is log w - 1 - 2 h.
-    Returns (nu_full, objective, kkt_residual, iterations).
+    Returns (nu_full, h, objective, kkt_residual, iterations), where h is
+    the potential of q_fixed + nu_full (None without the energy term).
     """
     ker = grid_kernel(domain.layout)
     dv = domain.layout.cell_volume
@@ -385,7 +387,7 @@ def _t_minimize(q_fixed: np.ndarray, logw: np.ndarray, target_mass: float,
         _log_normalize(logw_c, dv, log_mass), evaluate, target,
         lambda Lv: _log_normalize(Lv, dv, log_mass), kkt,
         tol, max_iter, s_min=1e-7, s_max=2.0, grow=1.5)
-    return aux[0], obj, kkt(L, aux), it
+    return aux[0], aux[1], obj, kkt(L, aux), it
 
 
 def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
@@ -414,10 +416,14 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
         raise ValueError("window mass exceeds the dilated thermal mass")
 
     q_fixed = domain.embed(mu) - w
-    nu, obj, kkt, it = _t_minimize(
+    nu, h, obj, kkt, it = _t_minimize(
         q_fixed, logw, target, domain, include_energy, tol, max_iter)
 
-    energy_term = grid_kernel(domain.layout).energy(q_fixed + nu)
+    ker = grid_kernel(domain.layout)
+    q = q_fixed + nu
+    # the minimizer's own potential: the same floats as ker.energy(q)
+    energy_term = (ker.energy(q) if h is None
+                   else float(np.sum(q * h) * ker.cell_volume))
     extras = {"energy_term": energy_term,
               "entropy_term": obj - (energy_term if include_energy else 0.0)}
 

@@ -4,16 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import irfftn, rfftn
 
 from mesogas import kernels
-from mesogas.coulomb import (SmearKind, SpaceParams, ball_potential,
-                             ball_self_energy, default_smear_radius,
-                             dense_kernel_matrix, energy, energy_offdiag,
-                             g_eval, g_radial, grid_kernel, interaction,
-                             potential_at_points, potential_field,
-                             shell_potential, shell_self_energy,
-                             shell_shell_interaction, smear,
-                             smeared_energy_bound, sphere_average)
+from mesogas.coulomb import (GridKernel, SmearKind, SpaceParams,
+                             ball_potential, ball_self_energy,
+                             default_smear_radius, dense_kernel_matrix,
+                             energy, energy_offdiag, g_eval, g_radial,
+                             grid_kernel, interaction, potential_at_points,
+                             potential_field, shell_potential,
+                             shell_self_energy, shell_shell_interaction,
+                             smear, smeared_energy_bound, sphere_average)
 from mesogas.grids import AtomicMeasure, Box, GridMeasure, mass
 
 
@@ -109,6 +112,58 @@ def test_potential_field_matches_dense_kernel():
     K = dense_kernel_matrix(m)
     want = K @ m.density.ravel() * m.cell_volume
     assert np.allclose(np.asarray(h).ravel(), want, rtol=1e-12)
+
+
+def _padded_convolution(ker: GridKernel, rho: np.ndarray) -> np.ndarray:
+    """Oracle: the full zero-padded transform that the pruned one replaces."""
+    corner = (slice(0, ker.n),) * ker.d
+    pad = np.zeros(ker._pad)
+    pad[corner] = rho
+    return irfftn(rfftn(pad) * ker._Kf, s=ker._pad)[corner] * ker.cell_volume
+
+
+def _density(kind: str, shape, rng) -> np.ndarray:
+    if kind == "signed":
+        return rng.standard_normal(shape)
+    if kind == "positive":
+        return rng.uniform(0.0, 1.0, shape)
+    # a tail that runs through the subnormals down to exact zeros
+    return np.exp(-40.0 * rng.uniform(0.0, 20.0, shape))
+
+
+def _assert_matches_padded_convolution(ker: GridKernel, rho: np.ndarray):
+    before = rho.copy()
+    got = ker.potential(rho)
+    assert np.array_equal(rho, before)        # the caller's rho is untouched
+    assert got.shape == rho.shape
+    assert np.array_equal(got, _padded_convolution(ker, rho))
+
+
+@pytest.mark.parametrize("d, sizes", [(3, (1, 2, 3, 5, 8, 16, 32)),
+                                      (4, (1, 2, 3, 5, 8, 16)),
+                                      (5, (1, 2, 3, 5, 8))])
+def test_pruned_potential_equals_padded_convolution(d, sizes):
+    """Bit for bit, on pads 1, 3, 5, 9, 15, 32 (2n - 1 = 31) and 63."""
+    rng = np.random.default_rng((31, d))
+    for n in sizes:
+        ker = GridKernel(n, np.linspace(0.05, 0.4, d)[::-1] / n, d)
+        for kind in ("signed", "positive", "tail"):
+            _assert_matches_padded_convolution(
+                ker, _density(kind, ker.shape, rng))
+        # single precision is transformed in double, as in the padded array
+        _assert_matches_padded_convolution(
+            ker, rng.standard_normal(ker.shape).astype(np.float32))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(3, 4), n=st.integers(1, 12),
+       spacing=st.lists(st.floats(0.01, 3.0), min_size=4, max_size=4),
+       kind=st.sampled_from(["signed", "positive", "tail"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pruned_potential_property(d, n, spacing, kind, seed):
+    ker = GridKernel(n, np.array(spacing[:d]), d)
+    rho = _density(kind, ker.shape, np.random.default_rng(seed))
+    _assert_matches_padded_convolution(ker, rho)
 
 
 def test_potential_at_points_matches_bruteforce():

@@ -4,7 +4,8 @@ Each solver is deterministic, so a refactor that keeps its arithmetic keeps
 these numbers to the last few bits; 1e-10 relative leaves room only for
 reassociated floating-point sums. Metropolis chains are pinned exactly:
 their accept decisions, and so every later state, would drift with any
-change to the step arithmetic.
+change to the step arithmetic. The FFT lattice potential is pinned exactly
+too: it feeds every solver, and its float order is part of their outputs.
 """
 
 import csv
@@ -20,7 +21,8 @@ from mesogas.cli import main
 from mesogas.construction import (CubeTiling, certify, cube_masses,
                                   energy_gap, place_points, round_counts,
                                   separation_radius)
-from mesogas.equilibrium import solve_equilibrium, solve_thermal
+from mesogas.coulomb import grid_kernel
+from mesogas.equilibrium import solve_equilibrium, solve_thermal, thermal_box
 from mesogas.grids import Box, GridMeasure
 from mesogas.rates import ExteriorDomain, phi_rate, t_rate
 from mesogas.sampler import RegimeParams, gibbs_sample
@@ -42,7 +44,8 @@ def test_solve_thermal_pinned(thermal):
     assert sol.k == pytest.approx(2.846207981693091, rel=REL)
 
 
-def test_t_rate_pinned(quad):
+@pytest.fixture(scope="module")
+def sweep_t_rate(quad):
     """The sweep_energy instance of the benchmark at N = 64."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")    # gamma = 0.3 is exploratory
@@ -50,8 +53,18 @@ def test_t_rate_pinned(quad):
     th = solve_thermal(quad, 64, params.beta, cells_per_axis=16, tol=1e-8)
     domain = ExteriorDomain.build(params.window, 8, 4)
     mu = GridMeasure.uniform(params.window, 8, 0.1)
-    rep = t_rate(mu, params, th, domain, tol=1e-7)
-    assert rep.value == pytest.approx(1.7056743281602564, rel=REL)
+    return t_rate(mu, params, th, domain, tol=1e-7)
+
+
+def test_t_rate_pinned(sweep_t_rate):
+    assert sweep_t_rate.value == pytest.approx(1.7056743281602564, rel=REL)
+
+
+def test_t_rate_energy_term_pinned(sweep_t_rate):
+    """The energy term is formed from the potential of the last accepted
+    mirror-descent step instead of a second transform; it is the float
+    GridKernel.energy gave before that reuse, to the last bit."""
+    assert sweep_t_rate.extras["energy_term"] == 0.18293761164990296
 
 
 def test_phi_rate_pinned():
@@ -62,6 +75,31 @@ def test_phi_rate_pinned():
         window, 4, lambda x: alpha * (1.0 + 0.5 * np.prod(np.cos(x), axis=1)))
     rep = phi_rate(mu, alpha, domain, tol=1e-10)
     assert rep.value == pytest.approx(0.09054999632517027, rel=REL)
+
+
+def _potential_digest(lattice: GridMeasure) -> str:
+    rng = np.random.default_rng(2026)
+    h = grid_kernel(lattice).potential(rng.standard_normal(lattice.density.shape))
+    return hashlib.sha256(h.tobytes()).hexdigest()
+
+
+def test_grid_potential_pinned_on_t_rate_lattice():
+    """The 32 cells of the 4x truncation box that sweep_energy's T rate
+    solves on at N = 64 (a 63^3 padded transform)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # gamma = 0.3 is exploratory
+        params = RegimeParams(64, 0.3, 0.05)
+    layout = ExteriorDomain.build(params.window, 8, 4).layout
+    assert _potential_digest(layout) == (
+        "35af7e4ec7bc6bcba6987c7384ea54e16e48c72c55de8695e352dda4d5221cc4")
+
+
+def test_grid_potential_pinned_on_criterion_1_lattice(quad):
+    """The 48-cell thermal lattice of acceptance criterion 1 at N = 64
+    (a 96^3 padded transform)."""
+    box = thermal_box(quad, 64, 64.0 ** -0.3, 3)
+    assert _potential_digest(GridMeasure.zeros(box, 48)) == (
+        "7a840b5f8b04cf239e9bcc532ca96621e06bdff16a0c8206fffc2b5bb303c38d")
 
 
 def _construct_instance():
