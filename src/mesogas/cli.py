@@ -14,6 +14,16 @@ one-to-one onto the package's responsibilities:
                   the configured ball event, evaluate the matching rate
                   functional, emit CSV plus a decay-speed regression.
 
+The rows of a sweep are independent, so they run in parallel: one process
+per CPU the caller may run on (``os.sched_getaffinity``), at most one per
+row. The calling process runs rows 0, W, 2W, ... itself and forked helpers
+run the rest; with one worker, or where "fork" is not available, no process
+is started. A row's numbers do not depend on the process that ran it, so
+``sweep.csv`` and ``sweep_regression.json`` are the same for any worker
+count, and stderr reports each row in row order. ``sweep_timing.json``
+records the worker count, the wall time and, per row, the pid and the
+seconds spent estimating the ball probability and evaluating the rate.
+
 Exit codes: 0 success, 1 invariant failure, 2 invalid configuration.
 The configuration is read once: each (N, gamma, lambda) of the grid becomes
 a ``RegimeParams`` and the construction section a ``ConstructionParams``,
@@ -28,7 +38,9 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
+import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,7 +57,7 @@ from .sampler import (RegimeParams, ball_scores, binomial_estimate,
 
 SWEEP_COLUMNS = ["N", "gamma", "lambda", "regime", "ball_type", "epsilon",
                  "k", "p_hat", "stderr", "acceptance", "rate_value",
-                 "speed_sub", "speed_super"]
+                 "speed_sub", "speed_super", "error"]
 
 
 class ConfigError(ValueError):
@@ -526,37 +538,99 @@ def _ball_estimate(cfg: ExperimentConfig, params: RegimeParams,
     return (*binomial_estimate(scores < cfg.ball_epsilon), acceptance)
 
 
+def _sweep_row(cfg: ExperimentConfig, regime) -> tuple[dict, list[str], dict]:
+    """One sweep row, its distinct warning messages and its timing.
+
+    A row that raises keeps NaN in the columns it did not reach and the
+    exception text in ``error``. The row draws only from its own
+    (seed, chain index) streams, so its values do not depend on which
+    process runs it.
+    """
+    (N, gamma, lam), params = regime
+    row = {"N": params.N, "gamma": params.gamma, "lambda": params.lam,
+           "regime": classify_regime(gamma, lam),
+           "ball_type": cfg.ball_type,
+           "epsilon": cfg.ball_epsilon, "k": cfg.ball_k,
+           "p_hat": math.nan, "stderr": math.nan,
+           "acceptance": math.nan, "rate_value": math.nan,
+           "speed_sub": params.speed_sub,
+           "speed_super": params.speed_super, "error": ""}
+    timing = {"N": params.N, "gamma": params.gamma, "lambda": params.lam,
+              "pid": os.getpid(), "ball_s": None, "rate_s": None}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            mu = cfg.target_measure(params.N, params.lam)
+            t0 = time.perf_counter()
+            row["p_hat"], row["stderr"], row["acceptance"] = \
+                _ball_estimate(cfg, params, mu)
+            t1 = time.perf_counter()
+            timing["ball_s"] = t1 - t0
+            row["rate_value"] = _rate_for(cfg, params, mu)[0]
+            timing["rate_s"] = time.perf_counter() - t1
+        except Exception as exc:  # keep sweeping; the row records NaN
+            row["error"] = str(exc) or type(exc).__name__
+    return row, _messages(caught), timing
+
+
+def _sweep_workers(rows: int) -> int:
+    """Processes for a sweep of `rows` rows: one per CPU this process may
+    run on, at most one per row, and only the caller where helpers cannot
+    be forked (there is no "fork" start method without os.fork)."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return max(1, min(rows, len(os.sched_getaffinity(0))))
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
-    rows = []
-    for (N, gamma, lam), params in cfg.regimes:
-        row = {"N": params.N, "gamma": params.gamma, "lambda": params.lam,
-               "regime": classify_regime(gamma, lam),
-               "ball_type": cfg.ball_type,
-               "epsilon": cfg.ball_epsilon, "k": cfg.ball_k,
-               "p_hat": math.nan, "stderr": math.nan,
-               "acceptance": math.nan, "rate_value": math.nan,
-               "speed_sub": params.speed_sub,
-               "speed_super": params.speed_super}
+    start = time.perf_counter()
+    regimes = cfg.regimes
+    workers = _sweep_workers(len(regimes))
+    if workers == 1:
+        results = [_sweep_row(cfg, regime) for regime in regimes]
+    else:
+        # imported here, so that the other subcommands do not load them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # forked helpers inherit the loaded modules (no second import of
+        # numpy and scipy). The pool forks them all at its first submit,
+        # before it starts a thread of its own, and OpenBLAS stops its
+        # thread pool before a fork (its atfork handler). They also
+        # inherit the stdio buffers, which must be empty so that a helper
+        # does not write them again when it exits.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        with ProcessPoolExecutor(
+                workers - 1,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            helped = {j: pool.submit(_sweep_row, cfg, regime)
+                      for j, regime in enumerate(regimes) if j % workers}
+            own = {j: _sweep_row(cfg, regimes[j])
+                   for j in range(0, len(regimes), workers)}
+            results = [own[j] if j in own else helped[j].result()
+                       for j in range(len(regimes))]
+    rows, timings = [], []
+    for ((N, gamma, lam), _), (row, messages, timing) in zip(regimes,
+                                                              results):
         label = f"row (N={N}, gamma={gamma}, lambda={lam})"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            try:
-                mu = cfg.target_measure(params.N, params.lam)
-                row["p_hat"], row["stderr"], row["acceptance"] = \
-                    _ball_estimate(cfg, params, mu)
-                row["rate_value"] = _rate_for(cfg, params, mu)[0]
-            except Exception as exc:  # keep sweeping; the row records NaN
-                print(f"{label} failed: {exc}", file=sys.stderr)
-        for msg in _messages(caught):
+        if row["error"]:
+            print(f"{label} failed: {row['error']}", file=sys.stderr)
+        for msg in messages:
             print(f"{label} warned: {msg}", file=sys.stderr)
         rows.append(row)
+        timings.append(timing)
+    wall = time.perf_counter() - start
 
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: row[k] for k in SWEEP_COLUMNS})
+            writer.writerow(row)
+    (out_dir / "sweep_timing.json").write_text(json.dumps(
+        {"workers": workers, "wall_s": wall, "rows": timings},
+        indent=2) + "\n")
 
     regression = regress_speeds(rows, cfg.d)
     (out_dir / "sweep_regression.json").write_text(

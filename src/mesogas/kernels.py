@@ -67,21 +67,25 @@ def grid_potential_at_points(density, centers, cellvol, points, radius, d):
     """h at `points` from the grid measure, each point smeared at `radius`.
 
     `density` is flat over the cells with the given `centers` and volume.
-    radius == 0 evaluates the raw kernel g(point - cell center). Points are
-    evaluated in blocks of at most BLOCK_ENTRIES point-cell pairs (at least
-    one point per block), each point's value with the arithmetic of a point
-    evaluated alone.
+    radius == 0 evaluates the raw kernel g(point - cell center). Each
+    distinct point is evaluated once (snapshots of one chain share every
+    particle that did not move) and its value copied to its repeats. Points
+    are evaluated in blocks of at most BLOCK_ENTRIES point-cell pairs (at
+    least one point per block), each point's value with the arithmetic of a
+    point evaluated alone.
     """
-    out = np.zeros(points.shape[0])
+    distinct, inverse = np.unique(points, axis=0, return_inverse=True)
+    out = np.zeros(distinct.shape[0])
     nz = density != 0.0
     centers = centers[nz]
     rho = density[nz]
     block = max(1, BLOCK_ENTRIES // max(rho.size, 1))
-    for s in range(0, points.shape[0], block):
-        diff = centers[None, :, :] - points[s:s + block, None, :]
+    for s in range(0, distinct.shape[0], block):
+        diff = centers[None, :, :] - distinct[s:s + block, None, :]
         r2 = np.einsum("qik,qik->qi", diff, diff)
         out[s:s + block] = cellvol * _rowdot(_ball_g(r2, radius, d), rho)
-    return out
+    # the inverse's shape differs across numpy versions
+    return out[inverse.reshape(-1)]
 
 
 def atoms_potential_on_grid(atoms, weight, centers, radius, d):

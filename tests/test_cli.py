@@ -1,14 +1,20 @@
 """Configuration parsing and the command-line entry points."""
 
+import concurrent.futures
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mesogas import cli
 from mesogas.cli import (SWEEP_COLUMNS, ConfigError, ExperimentConfig,
                          classify_regime, load_config, main, regress_speeds)
 
@@ -270,8 +276,105 @@ def test_sweep_command_is_deterministic(config_path, tmp_path):
     assert rows[0]["regime"] == "supercritical"
     assert 0.0 <= float(rows[0]["p_hat"]) <= 1.0
     assert 0.0 < float(rows[0]["acceptance"]) < 1.0
+    assert rows[0]["error"] == ""
     regression = json.loads((out_a / "sweep_regression.json").read_text())
     assert "groups" in regression
+
+
+def _three_row_sweep(tmp_path, monkeypatch, cpus):
+    """Sweep N = 6, 8, 10 of the base config as if `cpus` CPUs were
+    available; returns the output directory and sweep_timing.json."""
+    obj = base_config()
+    obj["grid"]["N"] = [6, 8, 10]
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    out = tmp_path / f"cpus{cpus}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # gamma = 0.3 is exploratory
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    timing = json.loads((out / "sweep_timing.json").read_text())
+    assert timing["workers"] == cpus
+    assert [r["N"] for r in timing["rows"]] == [6, 8, 10]
+    return out, timing
+
+
+def test_sweep_output_does_not_depend_on_the_worker_count(tmp_path,
+                                                          monkeypatch):
+    """Two CPUs fork one helper, which runs the middle row; one CPU builds
+    no pool. Both write the same bytes."""
+    forked, timing = _three_row_sweep(tmp_path, monkeypatch, 2)
+    pids = [r["pid"] for r in timing["rows"]]
+    assert pids[0] == pids[2] == os.getpid() != pids[1]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-CPU sweep must not build a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    alone, timing = _three_row_sweep(tmp_path, monkeypatch, 1)
+    assert {r["pid"] for r in timing["rows"]} == {os.getpid()}
+    for name in ("sweep.csv", "sweep_regression.json"):
+        assert (forked / name).read_bytes() == (alone / name).read_bytes()
+
+
+def test_sweep_reports_what_happens_in_helper_rows(tmp_path, monkeypatch,
+                                                   capsys):
+    """With three CPUs both helpers get a row: the N = 8 row fails in its
+    rate and the N = 10 row warns. The failure is recorded in the row, and
+    each stderr line appears once, under its own row's label."""
+    parent = os.getpid()
+    real = cli._rate_for
+
+    def planted(cfg, params, mu, thermal=None):
+        if os.getpid() != parent:
+            if params.N == 8:
+                raise ValueError("planted failure")
+            warnings.warn("planted warning")
+        return real(cfg, params, mu, thermal)
+
+    monkeypatch.setattr(cli, "_rate_for", planted)
+    out, timing = _three_row_sweep(tmp_path, monkeypatch, 3)
+    assert len({r["pid"] for r in timing["rows"]}) == 3
+    assert timing["rows"][1]["rate_s"] is None
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert math.isnan(float(rows[1]["rate_value"]))
+    assert rows[1]["error"] == "planted failure"
+    for row in (rows[0], rows[2]):
+        assert row["error"] == ""
+        assert math.isfinite(float(row["rate_value"]))
+    err = capsys.readouterr().err
+    assert err.count("planted failure") == 1
+    assert err.count("row (N=8, gamma=0.3, lambda=0.05) failed: "
+                     "planted failure") == 1
+    assert err.count("planted warning") == 1
+    assert err.count("row (N=10, gamma=0.3, lambda=0.05) warned: "
+                     "planted warning") == 1
+
+
+def test_sweep_helpers_do_not_repeat_buffered_output(tmp_path):
+    """Text the caller printed before a sweep forks its helpers is written
+    once: stdout into a pipe is block-buffered, and a helper flushes its
+    copy of the buffers when it exits."""
+    obj = base_config()
+    obj["grid"]["N"] = [6, 8]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(obj))
+    script = "\n".join([
+        "import os, sys, warnings",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "from mesogas.cli import main",
+        "warnings.simplefilter('ignore')",
+        "print('printed before the sweep')",
+        f"sys.exit(main(['sweep', '--config', {str(path)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]))"])
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("printed before the sweep") == 1
+    timing = json.loads((tmp_path / "out" / "sweep_timing.json").read_text())
+    assert timing["workers"] == 2
 
 
 def test_seed_override_changes_the_report(config_path, tmp_path):

@@ -26,20 +26,28 @@ def _potential_oracle(density, centers, cellvol, points, radius, d):
 @pytest.mark.parametrize("radius", [0.0, 0.3])
 def test_blocked_grid_potential_matches_the_point_loop(radius):
     """Point counts on both sides of a block boundary, on a grid with empty
-    cells; radius 0 is the raw kernel."""
+    cells; radius 0 is the raw kernel. Repeated points (all equal,
+    interleaved, and on both sides of a block edge, with more distinct
+    points than one block holds) are evaluated once and copied back, so
+    every value is still the loop's to the last bit."""
     rng = np.random.default_rng(21)
     grid = GridMeasure(Box.cube(np.zeros(3), 1.0), 8,
                        rng.uniform(0.0, 1.0, (8, 8, 8)))
     density = grid.density.ravel().copy()
     density[rng.random(density.size) < 0.3] = 0.0
     block = kernels.BLOCK_ENTRIES // np.count_nonzero(density)
-    for n in (1, block - 1, block, block + 1, 2 * block + 3):
-        pts = rng.uniform(-1.2, 1.2, (n, 3))
+    cases = [rng.uniform(-1.2, 1.2, (n, 3))
+             for n in (1, block - 1, block, block + 1, 2 * block + 3)]
+    base = rng.uniform(-1.2, 1.2, (block + 1, 3))
+    cases += [np.repeat(base[:1], 2 * block + 3, axis=0),
+              base[rng.integers(0, 7, size=3 * block)],
+              np.concatenate([base, base[::-1]])]
+    for pts in cases:
         args = (density, grid.cell_centers(), grid.cell_volume, pts, radius,
                 3.0)
         got = kernels.grid_potential_at_points(*args)
         want = _potential_oracle(*args)
-        assert np.allclose(got, want, rtol=1e-13, atol=0.0), n
+        assert np.array_equal(got, want), len(pts)
 
 
 def test_chain_kernel_call_contract(quad, monkeypatch):

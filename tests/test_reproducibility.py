@@ -127,8 +127,7 @@ def test_construction_bl_to_target_pinned():
 
 
 def _sweep_energy_config():
-    """The sweep_energy workload of the benchmark. Its ball does not depend
-    on the rate functional, so the cheap N rate stands in for T."""
+    """The sweep_energy workload of the benchmark."""
     return {"d": 3, "potential": {"kind": "quadratic", "coef": 1.0},
             "grid": {"N": [16, 32, 64], "gamma": [0.3], "lambda": [0.05]},
             "R": 1.0, "ball": {"type": "energy", "epsilon": 0.5, "k": 0.0},
@@ -136,7 +135,7 @@ def _sweep_energy_config():
             "solver": {"cells_per_axis": 16, "tol": 1e-8, "window_cells": 8,
                        "exterior_factor": 4},
             "sampler": {"chains": 4, "steps": 2400, "burn_in": 1200},
-            "rate": {"functional": "n"}, "seed": 0}
+            "rate": {"functional": "t"}, "seed": 0}
 
 
 def test_sweep_chain_pinned(quad):
@@ -154,17 +153,39 @@ def test_sweep_chain_pinned(quad):
     assert states[-1].hamiltonian == 7089.39912544931
 
 
-def test_sweep_p_hat_pinned(tmp_path):
-    """The benchmark compares these estimates exactly."""
-    path = tmp_path / "config.json"
+@pytest.fixture(scope="module")
+def sweep_energy_rows(tmp_path_factory):
+    """The rows of sweep_energy at seed 0, as `mesogas sweep` writes them
+    (on a host with two or more CPUs the N = 32 row runs in a helper)."""
+    out = tmp_path_factory.mktemp("sweep_energy")
+    path = out / "config.json"
     path.write_text(json.dumps(_sweep_energy_config()))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main(["sweep", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 0
-    with open(tmp_path / "out" / "sweep.csv") as fh:
-        p_hat = [float(row["p_hat"]) for row in csv.DictReader(fh)]
+                     "--out", str(out / "out")]) == 0
+    with open(out / "out" / "sweep.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_p_hat_pinned(sweep_energy_rows):
+    """The benchmark compares these estimates exactly."""
+    p_hat = [float(row["p_hat"]) for row in sweep_energy_rows]
     assert p_hat == [1.0, 1.0, 0.5657894736842105]
+
+
+def test_sweep_row_columns_pinned(sweep_energy_rows):
+    """The standard errors and acceptance rates come from the chains and
+    are pinned exactly; the T rate is a solver output."""
+    column = {key: [float(row[key]) for row in sweep_energy_rows]
+              for key in ("stderr", "acceptance", "rate_value")}
+    assert column["stderr"] == [0.0, 0.0, 0.05685528086757625]
+    assert column["acceptance"] == [0.3933333333333333, 0.4421875,
+                                    0.5246875]
+    assert column["rate_value"] == pytest.approx(
+        [0.628342280735389, 1.0930169656870037, 1.7056743281602573],
+        rel=REL)
+    assert [row["error"] for row in sweep_energy_rows] == ["", "", ""]
 
 
 def test_sample_chain_files_pinned(tmp_path):
