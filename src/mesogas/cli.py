@@ -14,15 +14,25 @@ one-to-one onto the package's responsibilities:
                   the configured ball event, evaluate the matching rate
                   functional, emit CSV plus a decay-speed regression.
 
-The rows of a sweep are independent, so they run in parallel: one process
-per CPU the caller may run on (``os.sched_getaffinity``), at most one per
-row. The calling process runs rows 0, W, 2W, ... itself and forked helpers
-run the rest; with one worker, or where "fork" is not available, no process
-is started. A row's numbers do not depend on the process that ran it, so
-``sweep.csv`` and ``sweep_regression.json`` are the same for any worker
-count, and stderr reports each row in row order. ``sweep_timing.json``
-records the worker count, the wall time and, per row, the pid and the
-seconds spent estimating the ball probability and evaluating the rate.
+A sweep row has two independent stages, each needing only the row's
+target: the ball stage runs the chains and scores their snapshots, the
+rate stage evaluates the rate functional (for T, after its thermal solve).
+The sweep runs them as 2R tasks, every ball stage in row order and then
+every rate stage, on W workers: one per CPU the caller may run on
+(``os.sched_getaffinity``), at most one per task. The calling process is
+worker 0 and forked helpers are the others. Worker w runs task w first;
+then each worker takes the next task no worker has taken, from one shared
+counter, until none is left. With one worker, or where "fork" is not
+available, no process is started. A stage's numbers do not depend on the
+process that ran it, so ``sweep.csv`` and ``sweep_regression.json`` are
+the same for any worker count, and stderr reports each row in row order.
+A failed stage leaves NaN in its own columns and its text in ``error``
+(both texts, ball first and joined by "; ", when both fail); a row whose
+p_hat is 0 or 1 gets a note that it measured no large deviation.
+``sweep_timing.json`` records the worker count, the wall time, per row the
+pid and seconds of each stage (``ball_pid``, ``ball_s``, ``rate_pid``,
+``rate_s``; null for a stage that failed), and under ``tasks``, in start
+order, each task's row index, stage, pid, start offset and seconds.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid configuration.
 The configuration is read once: each (N, gamma, lambda) of the grid becomes
@@ -45,6 +55,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -538,89 +549,162 @@ def _ball_estimate(cfg: ExperimentConfig, params: RegimeParams,
     return (*binomial_estimate(scores < cfg.ball_epsilon), acceptance)
 
 
-def _sweep_row(cfg: ExperimentConfig, regime) -> tuple[dict, list[str], dict]:
-    """One sweep row, its distinct warning messages and its timing.
+SWEEP_STAGES = ("ball", "rate")
 
-    A row that raises keeps NaN in the columns it did not reach and the
-    exception text in ``error``. The row draws only from its own
+
+class _StageResult(NamedTuple):
+    values: dict          # the columns the stage fills; empty if it failed
+    error: str | None     # the failure text, None if the stage completed
+    messages: list        # distinct warning messages, in the order raised
+    start: float          # time.perf_counter() when the stage began
+    seconds: float
+    pid: int
+
+
+def _sweep_task(cfg: ExperimentConfig, regime, stage: str) -> _StageResult:
+    """One stage of one sweep row: the "ball" stage estimates the ball
+    probability (p_hat, stderr, acceptance), the "rate" stage evaluates the
+    rate functional (rate_value). Each needs only the row's target, so the
+    two run independently. The stage draws only from its row's
     (seed, chain index) streams, so its values do not depend on which
     process runs it.
     """
-    (N, gamma, lam), params = regime
-    row = {"N": params.N, "gamma": params.gamma, "lambda": params.lam,
-           "regime": classify_regime(gamma, lam),
-           "ball_type": cfg.ball_type,
-           "epsilon": cfg.ball_epsilon, "k": cfg.ball_k,
-           "p_hat": math.nan, "stderr": math.nan,
-           "acceptance": math.nan, "rate_value": math.nan,
-           "speed_sub": params.speed_sub,
-           "speed_super": params.speed_super, "error": ""}
-    timing = {"N": params.N, "gamma": params.gamma, "lambda": params.lam,
-              "pid": os.getpid(), "ball_s": None, "rate_s": None}
+    _, params = regime
+    start = time.perf_counter()
+    values, error = {}, None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         try:
             mu = cfg.target_measure(params.N, params.lam)
-            t0 = time.perf_counter()
-            row["p_hat"], row["stderr"], row["acceptance"] = \
-                _ball_estimate(cfg, params, mu)
-            t1 = time.perf_counter()
-            timing["ball_s"] = t1 - t0
-            row["rate_value"] = _rate_for(cfg, params, mu)[0]
-            timing["rate_s"] = time.perf_counter() - t1
+            if stage == "ball":
+                values = dict(zip(("p_hat", "stderr", "acceptance"),
+                                  _ball_estimate(cfg, params, mu)))
+            else:
+                values = {"rate_value": _rate_for(cfg, params, mu)[0]}
         except Exception as exc:  # keep sweeping; the row records NaN
-            row["error"] = str(exc) or type(exc).__name__
-    return row, _messages(caught), timing
+            error = str(exc) or type(exc).__name__
+    return _StageResult(values, error, _messages(caught), start,
+                        time.perf_counter() - start, os.getpid())
+
+
+def _drain_tasks(cfg: ExperimentConfig, tasks: list, first: int,
+                 counter) -> dict:
+    """Run task `first`, then the task whose index `counter` hands out
+    next, until the list is exhausted; returns {index: result}."""
+    done = {}
+    index = first
+    while index < len(tasks):
+        done[index] = _sweep_task(cfg, *tasks[index])
+        with counter.get_lock():
+            index = counter.value
+            counter.value += 1
+    return done
 
 
 def _sweep_workers(rows: int) -> int:
     """Processes for a sweep of `rows` rows: one per CPU this process may
-    run on, at most one per row, and only the caller where helpers cannot
-    be forked (there is no "fork" start method without os.fork)."""
+    run on, at most one per task (two per row), and only the caller where
+    helpers cannot be forked (there is no "fork" start method without
+    os.fork)."""
     if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
         return 1
-    return max(1, min(rows, len(os.sched_getaffinity(0))))
+    return max(1, min(len(SWEEP_STAGES) * rows,
+                      len(os.sched_getaffinity(0))))
+
+
+def _run_sweep_tasks(cfg: ExperimentConfig, tasks: list,
+                     workers: int) -> list:
+    """Every task's result, in task order, from `workers` processes: the
+    caller and workers - 1 forked helpers. Worker w runs task w first, then
+    each worker takes the next task no worker has taken yet."""
+    if workers == 1:
+        return [_sweep_task(cfg, *task) for task in tasks]
+    # imported here, so that the other subcommands do not load it
+    import multiprocessing
+
+    # forked helpers inherit the loaded modules (no second import of numpy
+    # and scipy) and their arguments, counter included, without pickling;
+    # only their results travel back, through a pipe each. The caller
+    # starts no thread, and OpenBLAS stops its thread pool before a fork
+    # (its atfork handler). Helpers also inherit the stdio buffers, which
+    # must be empty so that a helper does not write them again when it
+    # exits.
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("i", workers)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    helpers = []
+
+    def helper(first, conn):
+        conn.send(_drain_tasks(cfg, tasks, first, counter))
+
+    try:
+        for first in range(1, workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=helper, args=(first, writer))
+            proc.start()
+            writer.close()    # so a helper that dies leaves an EOF
+            helpers.append((proc, reader))
+        done = _drain_tasks(cfg, tasks, 0, counter)
+        for proc, reader in helpers:
+            try:
+                done.update(reader.recv())
+            except EOFError:
+                raise RuntimeError(f"sweep helper {proc.pid} exited "
+                                   "without its results") from None
+    except BaseException:
+        for proc, _ in helpers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, reader in helpers:
+            reader.close()
+            proc.join()
+    return [done[j] for j in range(len(tasks))]
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     start = time.perf_counter()
     regimes = cfg.regimes
+    tasks = [(regime, stage) for stage in SWEEP_STAGES for regime in regimes]
     workers = _sweep_workers(len(regimes))
-    if workers == 1:
-        results = [_sweep_row(cfg, regime) for regime in regimes]
-    else:
-        # imported here, so that the other subcommands do not load them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # forked helpers inherit the loaded modules (no second import of
-        # numpy and scipy). The pool forks them all at its first submit,
-        # before it starts a thread of its own, and OpenBLAS stops its
-        # thread pool before a fork (its atfork handler). They also
-        # inherit the stdio buffers, which must be empty so that a helper
-        # does not write them again when it exits.
-        sys.stdout.flush()
-        sys.stderr.flush()
-        with ProcessPoolExecutor(
-                workers - 1,
-                mp_context=multiprocessing.get_context("fork")) as pool:
-            helped = {j: pool.submit(_sweep_row, cfg, regime)
-                      for j, regime in enumerate(regimes) if j % workers}
-            own = {j: _sweep_row(cfg, regimes[j])
-                   for j in range(0, len(regimes), workers)}
-            results = [own[j] if j in own else helped[j].result()
-                       for j in range(len(regimes))]
+    results = _run_sweep_tasks(cfg, tasks, workers)
     rows, timings = [], []
-    for ((N, gamma, lam), _), (row, messages, timing) in zip(regimes,
-                                                              results):
+    for j, ((N, gamma, lam), params) in enumerate(regimes):
+        row = {"N": params.N, "gamma": params.gamma, "lambda": params.lam,
+               "regime": classify_regime(gamma, lam),
+               "ball_type": cfg.ball_type,
+               "epsilon": cfg.ball_epsilon, "k": cfg.ball_k,
+               "p_hat": math.nan, "stderr": math.nan,
+               "acceptance": math.nan, "rate_value": math.nan,
+               "speed_sub": params.speed_sub,
+               "speed_super": params.speed_super, "error": ""}
+        timing = {"N": params.N, "gamma": params.gamma, "lambda": params.lam}
+        errors, messages = [], []
+        for s, stage in enumerate(SWEEP_STAGES):
+            result = results[s * len(regimes) + j]
+            row.update(result.values)
+            ok = result.error is None
+            timing[f"{stage}_pid"] = result.pid if ok else None
+            timing[f"{stage}_s"] = result.seconds if ok else None
+            errors += [] if ok else [result.error]
+            messages += result.messages
+        row["error"] = "; ".join(errors)
         label = f"row (N={N}, gamma={gamma}, lambda={lam})"
         if row["error"]:
             print(f"{label} failed: {row['error']}", file=sys.stderr)
-        for msg in messages:
+        for msg in dict.fromkeys(messages):
             print(f"{label} warned: {msg}", file=sys.stderr)
+        if row["p_hat"] in (0.0, 1.0):
+            print(f"{label} note: p_hat = {row['p_hat']:g}, so the row "
+                  "measured no large deviation", file=sys.stderr)
         rows.append(row)
         timings.append(timing)
     wall = time.perf_counter() - start
+    order = sorted(range(len(tasks)), key=lambda t: results[t].start)
+    task_log = [{"row": t % len(regimes), "stage": tasks[t][1],
+                 "pid": results[t].pid, "start_s": results[t].start - start,
+                 "seconds": results[t].seconds} for t in order]
 
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -629,8 +713,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         for row in rows:
             writer.writerow(row)
     (out_dir / "sweep_timing.json").write_text(json.dumps(
-        {"workers": workers, "wall_s": wall, "rows": timings},
-        indent=2) + "\n")
+        {"workers": workers, "wall_s": wall, "rows": timings,
+         "tasks": task_log}, indent=2) + "\n")
 
     regression = regress_speeds(rows, cfg.d)
     (out_dir / "sweep_regression.json").write_text(

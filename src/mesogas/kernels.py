@@ -131,16 +131,22 @@ def run_chain_quadratic(x, scale, beta, nweight, vcoef, d,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for t in range(steps):
             i = sites[t]
-            # the other particles in their own order, as np.delete leaves
-            # them, so each pair sum adds up as a chain's alone would
-            others = x[chains[:, None], lower + (lower >= i[:, None])]
             old = x[chains, i]
             new = old + scale * normals[t]
-            diff_old = others - old[:, None, :]
-            diff_new = others - new[:, None, :]
-            r2o = np.einsum("cik,cik->ci", diff_old, diff_old)
-            r2n = np.einsum("cik,cik->ci", diff_new, diff_new)
-            dham = 2.0 * np.add.reduce(r2n ** p - r2o ** p, axis=1)
+            if N == 1:
+                # no pairs: their sum is exactly 0.0, as the empty reduce
+                # below gives, and the increment adds to it
+                dham = np.zeros(C)
+            else:
+                # the other particles in their own order, as np.delete
+                # leaves them, so each pair sum adds up as a chain's alone
+                # would
+                others = x[chains[:, None], lower + (lower >= i[:, None])]
+                diff_old = others - old[:, None, :]
+                diff_new = others - new[:, None, :]
+                r2o = np.einsum("cik,cik->ci", diff_old, diff_old)
+                r2n = np.einsum("cik,cik->ci", diff_new, diff_new)
+                dham = 2.0 * np.add.reduce(r2n ** p - r2o ** p, axis=1)
             if V is None:
                 dham += nweight * vcoef * (_rowdot(new, new)
                                            - _rowdot(old, old))

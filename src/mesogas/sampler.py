@@ -170,7 +170,10 @@ def chain_to_jsonl(states) -> str:
 
 
 def _propose_batch(rng, n_props: int, N: int, d: int):
-    sites = rng.integers(0, N, size=n_props)
+    # integers(0, 1) draws nothing from the stream, so at N = 1 the zeros
+    # it would return leave the draw order as it is
+    sites = (rng.integers(0, N, size=n_props) if N > 1
+             else np.zeros(n_props, dtype=np.int64))
     normals = rng.standard_normal((n_props, d))
     unifs = rng.random(n_props)
     return sites, normals, unifs
@@ -319,12 +322,6 @@ def ball_scores(fields: Sequence[AtomicMeasure], mu: GridMeasure, k: float,
              for j in inside], mu)
         scores[inside] = np.abs(gaps)
     return scores
-
-
-def ball_membership(nu: AtomicMeasure, mu: GridMeasure, eps: float, k: float,
-                    params: RegimeParams, kind: str = "energy") -> bool:
-    """Whether nu lies in the radius-eps ball around mu (see ``ball_scores``)."""
-    return bool(ball_scores([nu], mu, k, params, kind)[0] < eps)
 
 
 def binomial_estimate(hits: Sequence[bool]) -> tuple[float, float]:

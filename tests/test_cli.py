@@ -1,9 +1,9 @@
 """Configuration parsing and the command-line entry points."""
 
-import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -283,7 +283,8 @@ def test_sweep_command_is_deterministic(config_path, tmp_path):
 
 def _three_row_sweep(tmp_path, monkeypatch, cpus):
     """Sweep N = 6, 8, 10 of the base config as if `cpus` CPUs were
-    available; returns the output directory and sweep_timing.json."""
+    available; returns the output directory and sweep_timing.json, whose
+    task list holds each stage of each row exactly once, in start order."""
     obj = base_config()
     obj["grid"]["N"] = [6, 8, 10]
     path = tmp_path / "three.json"
@@ -296,52 +297,93 @@ def _three_row_sweep(tmp_path, monkeypatch, cpus):
     timing = json.loads((out / "sweep_timing.json").read_text())
     assert timing["workers"] == cpus
     assert [r["N"] for r in timing["rows"]] == [6, 8, 10]
+    tasks = timing["tasks"]
+    assert sorted((t["row"], t["stage"]) for t in tasks) == [
+        (row, stage) for row in range(3) for stage in ("ball", "rate")]
+    starts = [t["start_s"] for t in tasks]
+    assert starts == sorted(starts)
+    assert len({t["pid"] for t in tasks}) == cpus
     return out, timing
 
 
 def test_sweep_output_does_not_depend_on_the_worker_count(tmp_path,
                                                           monkeypatch):
-    """Two CPUs fork one helper, which runs the middle row; one CPU builds
-    no pool. Both write the same bytes."""
+    """With two CPUs the caller runs task 0 (the first row's ball stage)
+    and the forked helper task 1 (the second row's), then each takes the
+    next free task; with three CPUs two helpers do; one CPU starts no
+    process. All three write the same bytes."""
     forked, timing = _three_row_sweep(tmp_path, monkeypatch, 2)
-    pids = [r["pid"] for r in timing["rows"]]
-    assert pids[0] == pids[2] == os.getpid() != pids[1]
+    rows = timing["rows"]
+    assert rows[0]["ball_pid"] == os.getpid() != rows[1]["ball_pid"]
+    three, _ = _three_row_sweep(tmp_path, monkeypatch, 3)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-CPU sweep must not build a pool")
+    def no_processes(*args, **kwargs):
+        raise AssertionError("a one-CPU sweep must not start a process")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing, "get_context", no_processes)
     alone, timing = _three_row_sweep(tmp_path, monkeypatch, 1)
-    assert {r["pid"] for r in timing["rows"]} == {os.getpid()}
+    assert {t["pid"] for t in timing["tasks"]} == {os.getpid()}
     for name in ("sweep.csv", "sweep_regression.json"):
         assert (forked / name).read_bytes() == (alone / name).read_bytes()
+        assert (three / name).read_bytes() == (alone / name).read_bytes()
+
+
+def test_sweep_workers_stop_at_two_per_row(monkeypatch):
+    """A row has two tasks, so more CPUs than that leave the rest idle."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+    assert [cli._sweep_workers(rows) for rows in (1, 3, 8, 9)] == [
+        2, 6, 16, 16]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cli._sweep_workers(3) == 1
+
+
+def test_sweep_workers_take_each_task_once(monkeypatch):
+    """Four workers, more than a small host has CPUs, drain 20,000 trivial
+    tasks from the shared counter: each task runs exactly once, and each
+    worker runs its own first task."""
+    runs = multiprocessing.get_context("fork").Array("i", 20000)
+
+    def record(cfg, task, stage):
+        with runs.get_lock():
+            runs[task] += 1
+        return os.getpid()
+
+    monkeypatch.setattr(cli, "_sweep_task", record)
+    pids = cli._run_sweep_tasks(None, [(j, "ball") for j in range(20000)], 4)
+    assert list(runs) == [1] * 20000
+    assert pids[0] == os.getpid()
+    assert len(set(pids[:4])) == 4
 
 
 def test_sweep_reports_what_happens_in_helper_rows(tmp_path, monkeypatch,
                                                    capsys):
-    """With three CPUs both helpers get a row: the N = 8 row fails in its
-    rate and the N = 10 row warns. The failure is recorded in the row, and
-    each stderr line appears once, under its own row's label."""
+    """With three CPUs the two helpers start with the ball stages of the
+    N = 8 and N = 10 rows: the first fails and the second warns. The
+    failure leaves that row's rate intact, and each stderr line appears
+    once, under its own row's label."""
     parent = os.getpid()
-    real = cli._rate_for
+    real = cli._ball_estimate
 
-    def planted(cfg, params, mu, thermal=None):
+    def planted(cfg, params, mu):
         if os.getpid() != parent:
             if params.N == 8:
                 raise ValueError("planted failure")
             warnings.warn("planted warning")
-        return real(cfg, params, mu, thermal)
+        return real(cfg, params, mu)
 
-    monkeypatch.setattr(cli, "_rate_for", planted)
+    monkeypatch.setattr(cli, "_ball_estimate", planted)
     out, timing = _three_row_sweep(tmp_path, monkeypatch, 3)
-    assert len({r["pid"] for r in timing["rows"]}) == 3
-    assert timing["rows"][1]["rate_s"] is None
+    assert timing["rows"][1]["ball_s"] is None
+    assert timing["rows"][1]["ball_pid"] is None
+    assert timing["rows"][1]["rate_s"] is not None
     with open(out / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert math.isnan(float(rows[1]["rate_value"]))
+    assert math.isnan(float(rows[1]["p_hat"]))
+    assert math.isfinite(float(rows[1]["rate_value"]))
     assert rows[1]["error"] == "planted failure"
     for row in (rows[0], rows[2]):
         assert row["error"] == ""
+        assert math.isfinite(float(row["p_hat"]))
         assert math.isfinite(float(row["rate_value"]))
     err = capsys.readouterr().err
     assert err.count("planted failure") == 1
@@ -350,6 +392,35 @@ def test_sweep_reports_what_happens_in_helper_rows(tmp_path, monkeypatch,
     assert err.count("planted warning") == 1
     assert err.count("row (N=10, gamma=0.3, lambda=0.05) warned: "
                      "planted warning") == 1
+
+
+def test_sweep_row_reports_both_failed_stages(config_path, tmp_path,
+                                              monkeypatch, capsys):
+    """Each stage fills its own columns; when both fail, `error` joins
+    their texts, the ball stage's first."""
+    def failing(text):
+        def stage(*args, **kwargs):
+            raise ValueError(text)
+        return stage
+
+    monkeypatch.setattr(cli, "_ball_estimate", failing("ball broke"))
+    monkeypatch.setattr(cli, "_rate_for", failing("rate broke"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # gamma = 0.3 is exploratory
+        assert main(["sweep", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+    with open(out / "sweep.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["error"] == "ball broke; rate broke"
+    assert math.isnan(float(row["p_hat"]))
+    assert math.isnan(float(row["rate_value"]))
+    (timing,) = json.loads((out / "sweep_timing.json").read_text())["rows"]
+    assert [timing[key] for key in ("ball_pid", "ball_s", "rate_pid",
+                                    "rate_s")] == [None] * 4
+    err = capsys.readouterr().err
+    assert err.count("row (N=8, gamma=0.3, lambda=0.05) failed: "
+                     "ball broke; rate broke") == 1
 
 
 def test_sweep_helpers_do_not_repeat_buffered_output(tmp_path):

@@ -10,9 +10,11 @@ too: it feeds every solver, and its float order is part of their outputs.
 
 import csv
 import hashlib
+import io
 import json
 import math
 import warnings
+from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
@@ -153,19 +155,60 @@ def test_sweep_chain_pinned(quad):
     assert states[-1].hamiltonian == 7089.39912544931
 
 
+def _quartic(points):
+    return np.einsum("ik,ik->i", points, points) ** 2
+
+
+@pytest.mark.parametrize("N, potential, chain_index, digest", [
+    (1, "quadratic", 7,
+     "c8ffb48c8da2a2277e874174dfa23600f2314e41110089c34e25f996d6f1dea7"),
+    (1, "quadratic", range(3),
+     "67faf1919a9bf28cee04be2c4275d37ecb0d4d42d4e2025eb30470cc64726d44"),
+    (1, "quartic", 7,
+     "693f34fada4673925a5cbea6627f13bc4d44f5a04137e9616b53acc33a51c462"),
+    (1, "quartic", range(3),
+     "1972b26914b8e664afdd74aef71cb9ebdc11cf9bd1ef8531a03bd1e329564eb6"),
+    (2, "quadratic", range(3),
+     "f20c131d7578a46d6f0b64e3234484e1cb9a7197889637ca1c540d0e7b4fd2e0")],
+    ids=["N1-quadratic", "N1-quadratic-lockstep", "N1-quartic",
+         "N1-quartic-lockstep", "N2-quadratic-lockstep"])
+def test_few_particle_chains_pinned(quad, N, potential, chain_index, digest):
+    """At N = 1 there are no pairs, nothing to draw a site from, and every
+    proposal is a kernel call of its own; N = 2 has one pair and two sites.
+    Pinned: the positions, Hamiltonians and acceptance counts of every
+    snapshot, alone and in lockstep, for the quadratic V and a general one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # lambda = 0.1 is exploratory
+        params = RegimeParams(N=N, gamma=0.5, lam=0.1)
+    V = quad if potential == "quadratic" else _quartic
+    runs = gibbs_sample(params, V, 3000, 300, seed=5, chain_index=chain_index)
+    h = hashlib.sha256()
+    for states in [runs] if isinstance(chain_index, int) else runs:
+        h.update(np.stack([s.points for s in states]).tobytes())
+        h.update(np.array([s.hamiltonian for s in states]).tobytes())
+        h.update(np.array([s.accepted for s in states]).tobytes())
+    assert h.hexdigest() == digest
+
+
 @pytest.fixture(scope="module")
-def sweep_energy_rows(tmp_path_factory):
+def sweep_energy_run(tmp_path_factory):
     """The rows of sweep_energy at seed 0, as `mesogas sweep` writes them
-    (on a host with two or more CPUs the N = 32 row runs in a helper)."""
+    (on a host with two or more CPUs a helper runs some of their stages),
+    and what the sweep printed to stderr."""
     out = tmp_path_factory.mktemp("sweep_energy")
     path = out / "config.json"
     path.write_text(json.dumps(_sweep_energy_config()))
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("ignore")
         assert main(["sweep", "--config", str(path),
                      "--out", str(out / "out")]) == 0
     with open(out / "out" / "sweep.csv") as fh:
-        return list(csv.DictReader(fh))
+        return list(csv.DictReader(fh)), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def sweep_energy_rows(sweep_energy_run):
+    return sweep_energy_run[0]
 
 
 def test_sweep_p_hat_pinned(sweep_energy_rows):
@@ -186,6 +229,16 @@ def test_sweep_row_columns_pinned(sweep_energy_rows):
         [0.628342280735389, 1.0930169656870037, 1.7056743281602573],
         rel=REL)
     assert [row["error"] for row in sweep_energy_rows] == ["", "", ""]
+
+
+def test_sweep_notes_rows_without_a_large_deviation(sweep_energy_run):
+    """p_hat = 1 at N = 16 and 32: those two rows, and only they, get a
+    note."""
+    notes = [line for line in sweep_energy_run[1].splitlines()
+             if " note: " in line]
+    assert notes == [
+        f"row (N={n}, gamma=0.3, lambda=0.05) note: p_hat = 1, so the row "
+        "measured no large deviation" for n in (16, 32)]
 
 
 def test_sample_chain_files_pinned(tmp_path):

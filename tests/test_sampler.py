@@ -13,9 +13,9 @@ from mesogas.coulomb import energy, energy_offdiag, interaction
 from mesogas.equilibrium import Potential
 from mesogas.grids import AtomicMeasure, GridMeasure, Box, bl_distance, mass
 from mesogas.kernels import pairwise_g_sum
-from mesogas.sampler import (RegimeParams, ball_membership, ball_scores,
-                             chain_to_jsonl, estimate_event_probability,
-                             gibbs_sample, hamiltonian, local_empirical_field,
+from mesogas.sampler import (RegimeParams, ball_scores, chain_to_jsonl,
+                             estimate_event_probability, gibbs_sample,
+                             hamiltonian, local_empirical_field,
                              splitting_decompose)
 
 
@@ -238,13 +238,12 @@ def test_ball_membership_kinds(quad, thermal):
     lemp = local_empirical_field(X, p)
     win = Box.cube(np.zeros(3), 1.0)
     mu = GridMeasure.uniform(win, 8, mass(lemp) / win.volume)
-    assert isinstance(ball_membership(lemp, mu, 5.0, 0.5, p, kind="bl"), bool)
-    assert ball_membership(lemp, mu, 1e9, 0.5, p, kind="energy")
-    assert not ball_membership(lemp, mu, 1e-12, 0.5, p, kind="bl")
+    assert ball_scores([lemp], mu, 0.5, p, kind="energy")[0] < 1e9
+    assert not ball_scores([lemp], mu, 0.5, p, kind="bl")[0] < 1e-12
     # a shrink margin wider than the window empties the energy ball
-    assert not ball_membership(lemp, mu, 1e9, 1e9, p, kind="energy")
+    assert not ball_scores([lemp], mu, 1e9, p, kind="energy")[0] < 1e9
     with pytest.raises(ValueError):
-        ball_membership(lemp, mu, 0.1, 0.5, p, kind="euclid")
+        ball_scores([lemp], mu, 0.5, p, kind="euclid")
 
 
 _BALL_MU = GridMeasure(Box.cube(np.zeros(3), 1.0), 4,
@@ -277,19 +276,19 @@ def test_ball_scores_match_each_field_scored_alone(stack):
     p, k, kind, fields = stack
     scores = ball_scores(fields, _BALL_MU, k, p, kind=kind)
     shrink = p.R - k * float(p.N) ** (-1.0 / 3)
-    inner = Box.cube(np.zeros(3), shrink)
     for nu, score in zip(fields, scores):
         if kind == "bl":
             want = bl_distance(nu, _BALL_MU)
-        elif shrink <= 0 or not np.all(inner.contains(nu.points)):
+        elif shrink <= 0 or not np.all(
+                Box.cube(np.zeros(3), shrink).contains(nu.points)):
             want = math.inf
         else:
             want = abs(energy_offdiag(AtomicMeasure(nu.points, -nu.weight),
                                       _BALL_MU))
         assert score == want
         for eps in (0.05, 0.5, 5.0):
-            assert ball_membership(nu, _BALL_MU, eps, k, p,
-                                   kind=kind) == (want < eps)
+            assert (ball_scores([nu], _BALL_MU, k, p, kind=kind)[0]
+                    < eps) == (want < eps)
 
 
 def test_estimate_event_probability_bounds(quad):
