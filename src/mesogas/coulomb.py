@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftn
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from . import kernels
@@ -150,6 +149,7 @@ def sphere_average(fn, s: float, r: float, d: int) -> float:
     """
     if r == 0.0:
         return float(fn(s))
+    from scipy.integrate import quad
     norm = quad(lambda t: (1.0 - t * t) ** ((d - 3) / 2.0), -1.0, 1.0)[0]
     val = quad(
         lambda t: fn(math.sqrt(max(s * s + r * r - 2.0 * s * r * t, 0.0)))

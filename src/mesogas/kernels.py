@@ -13,6 +13,8 @@ Accumulation order is fixed, so results are deterministic for a given seed.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 # Always False: there is no compiled implementation. perfbench/worker.py
@@ -25,11 +27,20 @@ NUMBA_ENABLED = False
 BLOCK_ENTRIES = 1 << 16
 
 
+@lru_cache(maxsize=16)
+def _upper_pairs(n):
+    # np.triu_indices(n, k=1), built once per n and shared read-only
+    iu = np.triu_indices(n, k=1)
+    for idx in iu:
+        idx.flags.writeable = False
+    return iu
+
+
 def _pair_r2(points):
     # squared distances of the unordered pairs i < j, in row-major order
     diff = points[:, None, :] - points[None, :, :]
     r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    return r2[np.triu_indices(points.shape[0], k=1)]
+    return r2[_upper_pairs(points.shape[0])]
 
 
 def pairwise_g_sum(points, d):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from mesogas.grids import (AtomicMeasure, Box, GridMeasure, bl_distance,
                            box_mass, deposit, dilate, entropy, load_measure,
@@ -241,6 +241,44 @@ def test_bl_distance_matches_the_inequality_lp(name):
             assert want == pytest.approx(mass(a) + mass(b), rel=1e-12)
 
 
+def _transport_with_presolve(a, b):
+    """The transport LP that bl_distance solves, built here and solved with
+    HiGHS presolve on."""
+    pa, wa = _sites(a)
+    pb, wb = _sites(b)
+    pts, site = np.unique(np.vstack([pa, pb]), axis=0, return_inverse=True)
+    w = np.bincount(site.ravel(), weights=np.concatenate([wa, -wb]),
+                    minlength=pts.shape[0])
+    pts, w = pts[w != 0.0], w[w != 0.0]
+    n = pts.shape[0]
+    if n == 0:
+        return 0.0
+    src, snk = np.flatnonzero(w > 0.0), np.flatnonzero(w < 0.0)
+    dd = cdist(pts[src], pts[snk])
+    i, j = np.nonzero(dd < 2.0)
+    m = i.size
+    A = sparse.csc_matrix(
+        (np.ones(2 * m + n), (np.concatenate([src[i], snk[j], np.arange(n)]),
+                              np.concatenate([np.arange(m), np.arange(m),
+                                              m + np.arange(n)]))),
+        shape=(n, m + n))
+    res = linprog(np.concatenate([dd[i, j], np.ones(n)]), A_eq=A,
+                  b_eq=np.abs(w), method="highs", options={"presolve": True})
+    assert res.success
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_bl_distance_matches_the_presolved_transport_lp(name):
+    """Presolve cannot reduce the transport LP, so solving it without
+    presolve gives the value of the presolved solve."""
+    rng = np.random.default_rng(100 + FAMILIES.index(name))
+    for _ in range(20):
+        a, b = _family(name, rng)
+        assert bl_distance(a, b) == pytest.approx(
+            _transport_with_presolve(a, b), rel=1e-12, abs=0.0)
+
+
 @st.composite
 def _atom_pair(draw):
     def side():
@@ -262,6 +300,8 @@ def test_bl_distance_property(pair):
     assert got == pytest.approx(_bl_oracle(a, b), rel=1e-9, abs=1e-12)
     assert got == pytest.approx(bl_distance(b, a), rel=1e-9, abs=1e-12)
     assert got <= mass(a) + mass(b) + 1e-9
+    assert got == pytest.approx(_transport_with_presolve(a, b), rel=1e-12,
+                                abs=0.0)
 
 
 def test_measure_json_roundtrip(tmp_path):

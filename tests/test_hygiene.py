@@ -1,6 +1,9 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mesogas
@@ -59,3 +62,15 @@ def test_every_definition_is_referenced():
                 defined.append((f"{path.name}:{top.lineno}", own))
     unused = [f"{where} {name}" for where, name in defined if name not in used]
     assert not unused, "unreferenced definitions: " + ", ".join(unused)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """Importing the CLI does not load scipy.integrate: only
+    ``coulomb.sphere_average`` needs ``quad``, and it imports it when
+    called."""
+    script = ("import mesogas.cli, sys; "
+              "sys.exit('scipy.integrate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "scipy.integrate was loaded"

@@ -73,3 +73,20 @@ def test_chain_kernel_call_contract(quad, monkeypatch):
     assert sum(total for _, total, _ in calls) == sum(
         states[-1].accepted for states in runs)
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 64])
+def test_pair_r2_with_cached_indices_is_bit_identical(n):
+    """The pair distances read through the cached, read-only upper-triangle
+    indices are the ones fresh np.triu_indices give, to the last bit, and
+    a second call reuses the same arrays."""
+    pts = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3))
+    diff = pts[:, None, :] - pts[None, :, :]
+    want = np.einsum("ijk,ijk->ij", diff, diff)[np.triu_indices(n, k=1)]
+    got = kernels._pair_r2(pts)
+    assert got.shape == (n * (n - 1) // 2,)
+    assert np.array_equal(got, want)
+    iu = kernels._upper_pairs(n)
+    assert iu is kernels._upper_pairs(n)
+    assert not any(idx.flags.writeable for idx in iu)
+    assert np.array_equal(kernels._pair_r2(pts), want)
