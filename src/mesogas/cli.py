@@ -36,7 +36,8 @@ order, each task's row index, stage, pid, start offset and seconds.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid configuration.
 The configuration is read once: each (N, gamma, lambda) of the grid becomes
-a ``RegimeParams`` and the construction section a ``ConstructionParams``,
+a ``RegimeParams``, the window and its truncated exterior an
+``ExteriorDomain`` and the construction section a ``ConstructionParams``,
 so their own validity rules decide what is a configuration error and their
 warnings flag values outside the hypothesis ranges of the scaling theory.
 """
@@ -112,6 +113,9 @@ class ExperimentConfig:
     ``regimes`` is the (N, gamma, lambda) product of the grid, each triple
     as written (so "9/10" stays exact for ``classify_regime``) paired with
     its ``RegimeParams``; it is empty when the config has no grid.
+    ``domain`` is the window cube of half-width R (``domain.interior``)
+    with its truncated exterior, built from ``solver.window_cells`` and
+    ``solver.exterior_factor``.
     """
 
     d: int = 3
@@ -125,7 +129,7 @@ class ExperimentConfig:
     target_value: float | None = None
     cells_per_axis: int = 32
     window_cells: int = 8
-    exterior_factor: int = 4
+    domain: ExteriorDomain | None = None
     solver_tol: float = 1e-9
     chains: int = 16
     steps: int | None = None
@@ -181,10 +185,12 @@ class ExperimentConfig:
         solver = obj.get("solver", {})
         cfg.cells_per_axis = int(solver.get("cells_per_axis", 32))
         cfg.window_cells = int(solver.get("window_cells", 8))
-        cfg.exterior_factor = int(solver.get("exterior_factor", 4))
         cfg.solver_tol = float(solver.get("tol", 1e-9))
         if cfg.cells_per_axis < 4 or cfg.window_cells < 2:
             raise ConfigError("grids need at least a handful of cells")
+        cfg.domain = ExteriorDomain.build(
+            Box.cube(np.zeros(cfg.d), cfg.R), cfg.window_cells,
+            factor=int(solver.get("exterior_factor", 4)))
         sampler = obj.get("sampler", {})
         cfg.chains = int(sampler.get("chains", 16))
         steps, burn_in = sampler.get("steps"), sampler.get("burn_in")
@@ -215,9 +221,6 @@ class ExperimentConfig:
         """Density of the quadratic-potential equilibrium measure at 0."""
         return self.potential.equilibrium_density(self.d)
 
-    def window(self) -> Box:
-        return Box.cube(np.zeros(self.d), self.R)
-
     def target_measure(self, N: int | None = None,
                        lam: float | None = None) -> GridMeasure:
         """Deviation target on the window grid.
@@ -230,7 +233,7 @@ class ExperimentConfig:
         value = self.target_value
         if value is None:
             value = self.mu_v_density()
-        win = self.window()
+        win = self.domain.interior
         if self.target_kind == "uniform":
             return GridMeasure.uniform(win, self.window_cells, value)
         if N is None or lam is None:
@@ -241,10 +244,6 @@ class ExperimentConfig:
         return GridMeasure.from_function(
             win, self.window_cells,
             lambda p: np.where(np.linalg.norm(p, axis=1) < radius, value, 0.0))
-
-    def domain(self) -> ExteriorDomain:
-        return ExteriorDomain.build(self.window(), self.window_cells,
-                                    factor=self.exterior_factor)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -354,9 +353,10 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     # closed-form kappa against the entropic minimizer it solves
     lam0 = first.lam if first and first.lam > 0.0 else 0.05
     params0 = RegimeParams(N=256, gamma=gamma0, lam=lam0, R=cfg.R, d=d)
-    domain = cfg.domain()
+    domain = cfg.domain
+    window = domain.interior
     w_blow = blowup(th, 256, lam0)
-    mu_win = GridMeasure.uniform(cfg.window(), cfg.window_cells,
+    mu_win = GridMeasure.uniform(window, cfg.window_cells,
                                  0.5 * cfg.mu_v_density())
     kap, kmin, kval = kappa_minimizer(mass(mu_win), w_blow, domain)
     rep = t_rate(mu_win, params0, th, domain, include_energy=False,
@@ -366,15 +366,14 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
 
     # rate-function basics
     alpha = cfg.mu_v_density()
-    v_zero = n_rate(GridMeasure.uniform(cfg.window(), cfg.window_cells, alpha),
+    v_zero = n_rate(GridMeasure.uniform(window, cfg.window_cells, alpha),
                     alpha)
     checks.append(_check("n-rate-zero-at-reference", abs(v_zero), 1e-12))
-    mu2 = GridMeasure.uniform(cfg.window(), cfg.window_cells, 2 * alpha)
-    expect = 2 * alpha * math.log(2.0) * cfg.window().volume \
-        - alpha * cfg.window().volume
+    mu2 = GridMeasure.uniform(window, cfg.window_cells, 2 * alpha)
+    expect = 2 * alpha * math.log(2.0) * window.volume - alpha * window.volume
     checks.append(_check("n-rate-closed-form",
                          abs(n_rate(mu2, alpha) - expect) / abs(expect), 1e-12))
-    rep0 = phi_rate(GridMeasure.uniform(cfg.window(), cfg.window_cells, alpha),
+    rep0 = phi_rate(GridMeasure.uniform(window, cfg.window_cells, alpha),
                     alpha, domain, tol=1e-9)
     checks.append(_check("phi-zero-at-background", abs(rep0.value), 1e-8))
 
@@ -491,15 +490,14 @@ def _rate_for(cfg: ExperimentConfig, params: RegimeParams, mu: GridMeasure,
     alpha = cfg.mu_v_density()
     if cfg.rate_functional == "n":
         return n_rate(mu, alpha), None
-    domain = cfg.domain()
     if cfg.rate_functional == "phi":
-        rep = phi_rate(mu, alpha, domain, tol=1e-8)
+        rep = phi_rate(mu, alpha, cfg.domain, tol=1e-8)
         return rep.value, rep
     if thermal is None:
         thermal = solve_thermal(cfg.potential, params.N, params.beta,
                                 cells_per_axis=cfg.cells_per_axis,
                                 tol=cfg.solver_tol)
-    rep = t_rate(mu, params, thermal, domain, tol=1e-7)
+    rep = t_rate(mu, params, thermal, cfg.domain, tol=1e-7)
     return rep.value, rep
 
 

@@ -53,9 +53,8 @@ from .grids import AtomicMeasure, Box, GridMeasure, Measure
 class SpaceParams:
     """Dimension bookkeeping for the kernel g(x) = |x|^(2-d).
 
-    ``c_d`` is the constant in  Delta g = c_d * delta_0  (negative). It is
-    documented for reference and used only by analytic test oracles; no
-    operation in the package needs its value.
+    ``c_d`` is the constant in  Delta g = c_d * delta_0  (negative);
+    ``Potential.equilibrium_density`` divides by it.
     """
 
     d: int
@@ -82,14 +81,15 @@ class SpaceParams:
 
 @dataclass(frozen=True)
 class SmearKind:
-    """Uniform smearing measure: 'ball' (solid) or 'sphere' (boundary)."""
+    """Uniform smearing measure on the sphere of the given radius; 'sphere'
+    is the only kind."""
 
     kind: str
     radius: float
 
     def __post_init__(self):
-        if self.kind not in ("ball", "sphere"):
-            raise ValueError("smear kind must be 'ball' or 'sphere'")
+        if self.kind != "sphere":
+            raise ValueError("smear kind must be 'sphere'")
         if self.radius <= 0:
             raise ValueError("smear radius must be positive")
 
@@ -103,13 +103,6 @@ def g_radial(r, d: int):
     with np.errstate(divide="ignore"):
         out = r ** (2.0 - d)
     return out if out.ndim else float(out)
-
-
-def g_eval(x, d: int):
-    """g(x) = |x|^(2-d) for an array of displacement vectors (..., d)."""
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.einsum("...k,...k->...", x, x))
-    return g_radial(r, d)
 
 
 def shell_potential(r, R: float, d: int):
@@ -331,16 +324,13 @@ def energy(m: Measure, smear: SmearKind | None = None) -> float:
 
     Grid measures (signed allowed) evaluate via the lattice form. Raw atomic
     input carries infinite diagonal self-energy: +inf is returned. With a
-    sphere `smear`, each atom is replaced by the uniform sphere of that
-    radius and the energy is assembled from the closed-form shell pair
-    interactions; ball smearing of atoms raises ValueError.
+    `smear`, each atom is replaced by the uniform sphere of that radius and
+    the energy is assembled from the closed-form shell pair interactions.
     """
     if isinstance(m, GridMeasure):
         return grid_kernel(m).energy(m.density)
     if smear is None:
         return math.inf
-    if smear.kind != "sphere":
-        raise ValueError("smeared atomic energy needs sphere smearing")
     pts, w, n, R = m.points, m.weight, m.count, smear.radius
     total = n * shell_self_energy(R, m.d)
     for i in range(n):
@@ -414,39 +404,6 @@ def energy_offdiag(atoms: AtomicMeasure | Sequence[AtomicMeasure] | None,
                 total[j] += 2.0 * float(configs[j].weight * np.sum(part))
                 start += configs[j].count
     return total if many else float(total[0])
-
-
-# ---------------------------------------------------------------------------
-# smearing
-# ---------------------------------------------------------------------------
-
-def smear(m: AtomicMeasure, kind: SmearKind, like: GridMeasure,
-          subsamples: int = 4096) -> GridMeasure:
-    """Rasterize the smeared configuration onto `like`'s lattice.
-
-    Deposits a deterministic point cloud per atom and renormalizes so each
-    atom contributes exactly its weight (mass is preserved to machine
-    precision). Rasterization is for deposits and visualization; quantitative
-    forms use the analytic smeared kernel instead.
-    """
-    rng = np.random.default_rng(20240801)
-    rho = np.zeros(like.density.size)
-    d = m.d
-    for a in range(m.count):
-        z = rng.standard_normal((subsamples, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        if kind.kind == "ball":
-            u = rng.random(subsamples) ** (1.0 / d)
-            z *= u[:, None]
-        pts = m.points[a] + kind.radius * z
-        idx = like.cell_index(pts)
-        idx = idx[idx >= 0]
-        if idx.size == 0:
-            raise ValueError("smear: atom's smearing support misses the lattice")
-        w = m.weight / idx.size
-        np.add.at(rho, idx, w)
-    rho = rho.reshape(like.density.shape) / like.cell_volume
-    return like.with_density(rho, signed=False)
 
 
 def smeared_energy_bound(m: AtomicMeasure, eps: float) -> tuple[float, float]:

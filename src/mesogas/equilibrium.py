@@ -391,16 +391,6 @@ def solve_thermal(V: Potential, N: float, beta: float,
         support_min=float(rho.min()), support_max=float(rho.max()))
 
 
-def zeta(sol: EquilibriumSolution, N: float | None = None,
-         beta: float | None = None) -> np.ndarray:
-    """The confinement field zeta_beta = -(1/(N beta)) log mu_beta, cellwise."""
-    if sol.log_density is None:
-        raise ValueError("zeta requires a thermal solution")
-    N = sol.N if N is None else N
-    beta = sol.beta if beta is None else beta
-    return -sol.log_density / (N * beta)
-
-
 def blowup(sol: EquilibriumSolution, N: float, lam: float) -> GridMeasure:
     """mu_beta^{N^lambda}: the thermal measure dilated by N^lambda (mass N^{lambda d})."""
     from .grids import dilate

@@ -24,7 +24,6 @@ pick the resolution they can afford.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,9 +76,6 @@ class Box:
     def scaled(self, x: float) -> "Box":
         return Box(self.center * x, self.half_width * x)
 
-    def shrunk(self, margin: float) -> "Box":
-        return Box(self.center, self.half_width - margin)
-
     def same_geometry(self, other: "Box", tol: float = 1e-12) -> bool:
         return (
             self.d == other.d
@@ -89,10 +85,6 @@ class Box:
 
     def to_json(self) -> dict:
         return {"center": self.center.tolist(), "half_width": self.half_width.tolist()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Box":
-        return Box(np.asarray(obj["center"], float), np.asarray(obj["half_width"], float))
 
     @staticmethod
     def cube(center, R: float, d: int | None = None) -> "Box":
@@ -289,21 +281,12 @@ def dilate(m: Measure, x: float):
     return AtomicMeasure(m.points * x, m.weight * x ** m.d)
 
 
-def restrict(m: Measure, box: Box):
-    if isinstance(m, GridMeasure):
-        inside = box.contains(m.cell_centers()).reshape(m.density.shape)
-        return m.with_density(np.where(inside, m.density, 0.0))
-    keep = box.contains(m.points)
-    return AtomicMeasure(m.points[keep].reshape(-1, m.d), m.weight)
-
-
 def box_mass(m: GridMeasure, box: Box) -> float:
     """Exact integral of the piecewise-constant density over `box`.
 
-    Unlike ``mass(restrict(m, box))``, cells straddling the boundary count
-    with their true overlap fraction, so the result varies smoothly as the
-    box moves or scales. The box may extend past the lattice; the density is
-    zero there.
+    Cells straddling the boundary count with their true overlap fraction,
+    so the result varies smoothly as the box moves or scales. The box may
+    extend past the lattice; the density is zero there.
     """
     if box.d != m.box.d:
         raise ValueError("dimension mismatch")
@@ -322,19 +305,6 @@ def resample(m: GridMeasure, box: Box, cells_per_axis: int) -> GridMeasure:
     out = GridMeasure.zeros(box, cells_per_axis)
     vals = m.density_at(out.cell_centers(), fill=0.0)
     return out.with_density(vals.reshape(out.density.shape), signed=m.signed)
-
-
-def deposit(m: AtomicMeasure, like: GridMeasure) -> GridMeasure:
-    """Bin atoms into cells of `like`'s lattice (atoms outside are dropped).
-
-    The result carries density weight/cell_volume per atom, so the mass of
-    the atoms that land inside the box is preserved exactly.
-    """
-    rho = np.zeros(like.density.size)
-    idx = like.cell_index(m.points)
-    idx = idx[idx >= 0]
-    np.add.at(rho, idx, m.weight / like.cell_volume)
-    return like.with_density(rho.reshape(like.density.shape), signed=False)
 
 
 def _site_list(m: Measure) -> tuple[np.ndarray, np.ndarray]:
@@ -409,21 +379,3 @@ def measure_to_json(m: Measure) -> dict:
         }
     return {"points": m.points.tolist(), "weight": m.weight}
 
-
-def measure_from_json(obj: dict) -> Measure:
-    if "points" in obj:
-        return AtomicMeasure(np.asarray(obj["points"], float), float(obj["weight"]))
-    box = Box.from_json(obj["box"])
-    n = int(obj["cells_per_axis"])
-    rho = np.asarray(obj["density"], float).reshape((n,) * box.d)
-    return GridMeasure(box, n, rho, signed=bool(obj.get("signed", False)))
-
-
-def save_measure(m: Measure, path: str):
-    with open(path, "w") as f:
-        json.dump(measure_to_json(m), f)
-
-
-def load_measure(path: str) -> Measure:
-    with open(path) as f:
-        return measure_from_json(json.load(f))

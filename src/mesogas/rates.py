@@ -10,8 +10,7 @@ cube, each matched to a temperature regime:
   Phi^alpha(mu) = min_phi  E(mu - alpha 1_window + (phi - alpha) 1_exterior)
   over exterior screening densities phi >= 0, a convex QP in phi solved by
   the Barzilai-Borwein projected gradient ``equilibrium._projected_gradient``
-  that ``solve_equilibrium`` also runs. ``phi_mass_constrained`` adds a
-  total-mass cap on phi.
+  that ``solve_equilibrium`` also runs.
 
 * ``t_rate``: the combined functional
   T(mu) = min_nu  E(mu + nu - w) + ent[nu | w]
@@ -39,8 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coulomb import grid_kernel
-from .equilibrium import (_log_normalize, _mirror_descent, _project_simplex,
-                          _projected_gradient)
+from .equilibrium import _log_normalize, _mirror_descent, _projected_gradient
 from .grids import Box, GridMeasure, mass, relative_entropy
 
 
@@ -177,12 +175,13 @@ def _background_full(background, domain: ExteriorDomain) -> np.ndarray:
     return bg
 
 
-def _phi_solve(mu: GridMeasure, background, domain: ExteriorDomain,
-               mass_cap: float | None, tol: float, max_iter: int
-               ) -> RateReport:
+def phi_rate(mu: GridMeasure, alpha, domain: ExteriorDomain,
+             tol: float = 1e-8, max_iter: int = 5000) -> RateReport:
+    """Phi^alpha of a window measure; alpha is a scalar or a full-lattice
+    background density array (used for the thermal-background variant)."""
     ker = grid_kernel(domain.layout)
     dv = domain.layout.cell_volume
-    bg = _background_full(background, domain)
+    bg = _background_full(alpha, domain)
     ext = domain.exterior_mask
     q_fix = domain.embed(mu) - bg
 
@@ -193,10 +192,7 @@ def _phi_solve(mu: GridMeasure, background, domain: ExteriorDomain,
         return p
 
     def project(z):
-        z = np.maximum(z, 0.0)
-        if mass_cap is not None and z.sum() * dv > mass_cap:
-            return _project_simplex(z, mass_cap / dv)
-        return z
+        return np.maximum(z, 0.0)
 
     def evaluate(x):
         q = q_fix + full(x)
@@ -206,9 +202,6 @@ def _phi_solve(mu: GridMeasure, background, domain: ExteriorDomain,
     def kkt(x, h):
         g = 2.0 * dv * h[ext]
         free = x > 0
-        if (mass_cap is not None and np.any(free)
-                and x.sum() * dv >= mass_cap * (1 - 1e-12)):
-            g = g - float(np.mean(g[free]))    # the mass multiplier
         r = float(np.max(np.abs(g[free]))) if np.any(free) else 0.0
         if not np.all(free):
             r = max(r, -float(np.min(g[~free])))
@@ -219,29 +212,10 @@ def _phi_solve(mu: GridMeasure, background, domain: ExteriorDomain,
         lambda h: 2.0 * dv * h[ext], project, kkt,
         2.0 * dv * dv * ker.lipschitz, tol, max_iter)
     phi = full(x)
-    mass_err = 0.0
-    if mass_cap is not None:
-        mass_err = max(0.0, float(phi.sum() * dv) - mass_cap)
     return RateReport(functional="Phi", value=obj,
                       minimizer=domain.exterior_measure(phi),
-                      iterations=it, kkt_residual=kkt(x, h), mass_error=mass_err,
+                      iterations=it, kkt_residual=kkt(x, h), mass_error=0.0,
                       extras={"screening_mass": float(phi.sum() * dv)})
-
-
-def phi_rate(mu: GridMeasure, alpha, domain: ExteriorDomain,
-             tol: float = 1e-8, max_iter: int = 5000) -> RateReport:
-    """Phi^alpha of a window measure; alpha is a scalar or a full-lattice
-    background density array (used for the thermal-background variant)."""
-    return _phi_solve(mu, alpha, domain, None, tol, max_iter)
-
-
-def phi_mass_constrained(mu: GridMeasure, alpha, domain: ExteriorDomain,
-                         M: float, tol: float = 1e-8,
-                         max_iter: int = 5000) -> RateReport:
-    """Phi with the screening mass capped: int phi <= M."""
-    if M < 0:
-        raise ValueError("mass cap must be nonnegative")
-    return _phi_solve(mu, alpha, domain, M, tol, max_iter)
 
 
 def phi_scaling_check(mu: GridMeasure, alpha, domain: ExteriorDomain,
@@ -406,10 +380,17 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
     dv = domain.layout.cell_volume
     total = float(N ** (lam * domain.d))
     covered = float(np.sum(w) * dv)
-    if covered < 0.999 * total:
-        warnings.warn("truncation box captures only "
-                      f"{covered / total:.3%} of the dilated thermal mass; "
-                      "enlarge the truncation factor")
+    if abs(covered / total - 1.0) > 1e-3:
+        if domain.covers(thermal_sol.measure.box.scaled(N ** lam)):
+            cause = ("the truncation box holds the whole dilated box, so the "
+                     "gap is the nearest-cell resampling of the thermal "
+                     "lattice onto the rate lattice")
+        else:
+            cause = ("the dilated box reaches past the truncation box, so "
+                     "truncation drops part of it; enlarge the truncation "
+                     "factor")
+        warnings.warn(f"the rate lattice carries {covered / total:.3%} of "
+                      f"the dilated thermal mass N^(lambda d); {cause}")
     mu_mass = mass(mu)
     target = covered - mu_mass
     if target <= 0:
@@ -440,15 +421,3 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
                       mass_error=abs(float(np.sum(nu) * dv) - target),
                       extras=extras)
 
-
-def phi_background_gap(rho: GridMeasure, params, thermal_sol,
-                       domain: ExteriorDomain, tol: float = 1e-8,
-                       max_iter: int = 5000) -> float:
-    """|Phi^{mu_V(0)}(rho) - Phi^{w_N}(rho)| for the dilated thermal
-    background w_N; the gap closes as N grows."""
-    mu_v0 = thermal_sol.potential.equilibrium_density(domain.d)
-    w, _ = blowup_on_domain(thermal_sol, float(params.N), float(params.lam),
-                            domain)
-    a = phi_rate(rho, mu_v0, domain, tol, max_iter).value
-    b = phi_rate(rho, w, domain, tol, max_iter).value
-    return abs(a - b)

@@ -166,6 +166,25 @@ def test_infeasible_t_target_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep", "rate"])
+@pytest.mark.parametrize("solver", [{"window_cells": 5, "exterior_factor": 2},
+                                    {"window_cells": 4, "exterior_factor": 1}])
+def test_bad_window_geometry_exits_2_at_load(tmp_path, capsys, command,
+                                             solver):
+    """A window lattice the truncation box cannot hold in whole cells, or a
+    truncation box no larger than the window, is a configuration error
+    before any stage runs."""
+    obj = base_config()
+    obj["solver"] = {**obj["solver"], **solver}
+    obj["rate"] = {"functional": "t"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("lam, flagged", [(0.05, "gamma=0.3"),
                                           (0.0, "lambda=0")])
 def test_sample_warns_once_per_out_of_range_value(tmp_path, lam, flagged):

@@ -8,7 +8,7 @@ import pytest
 
 from mesogas.coulomb import SpaceParams
 from mesogas.equilibrium import (Potential, blowup, check_confining,
-                                 solve_thermal, thermal_box, zeta)
+                                 solve_thermal, thermal_box)
 from mesogas.grids import Box, GridMeasure, dilate, mass
 
 
@@ -85,9 +85,10 @@ def test_thermal_box_contains_support(quad):
 
 
 def test_zeta_confines(quad, thermal):
-    """The effective one-body field grows away from the support."""
+    """The effective one-body field zeta = -(1/(N beta)) log mu_beta grows
+    away from the support."""
     sol = thermal(64)
-    z = zeta(sol, 64, 64.0 ** -0.3)
+    z = -sol.log_density / (64 * 64.0 ** -0.3)
     centers = sol.measure.cell_centers()
     r = np.linalg.norm(centers, axis=1)
     zc = float(np.mean(np.asarray(z).ravel()[r < 0.3]))

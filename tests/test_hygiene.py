@@ -41,15 +41,16 @@ def test_every_import_is_used():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def test_every_definition_is_referenced():
-    """Each module-level function and class of the package is referenced by
-    name somewhere in the package or the tests, outside its own definition.
+def _definitions_and_references(paths):
+    """The package's module-level definitions, as ("file:line", name)
+    pairs, and every name that `paths` read outside the top-level
+    definition of the same name.
 
     A reference is a name or an attribute read; importing a name, listing it
     in ``__all__`` or calling it only from its own body does not count.
     """
     defined, used = [], set()
-    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         for top in tree.body:
             own = top.name if isinstance(top, DEFINITIONS) else None
@@ -60,8 +61,45 @@ def test_every_definition_is_referenced():
                     used.add(name)
             if own and path.parent == SRC and path.name != "__init__.py":
                 defined.append((f"{path.name}:{top.lineno}", own))
+    return defined, used
+
+
+def test_every_definition_is_referenced():
+    """Each module-level function and class of the package is referenced by
+    name somewhere in the package or the tests, outside its own definition.
+    """
+    defined, used = _definitions_and_references(
+        sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")))
     unused = [f"{where} {name}" for where, name in defined if name not in used]
     assert not unused, "unreferenced definitions: " + ", ".join(unused)
+
+
+def _acceptance_imports() -> set[str]:
+    """Names that ``tests/test_acceptance.py`` imports from the package."""
+    tree = ast.parse((TESTS / "test_acceptance.py").read_text())
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "mesogas"
+            for alias in node.names}
+
+
+def test_every_definition_serves_the_package_or_the_gate():
+    """Each module-level function and class of the package is referenced
+    from the package outside its own definition, is exported in
+    ``mesogas.__all__``, or is imported by the acceptance gate. A test
+    alone does not keep a definition alive.
+    """
+    defined, used = _definitions_and_references(sorted(SRC.glob("*.py")))
+    kept = used | set(mesogas.__all__) | _acceptance_imports()
+    unused = [f"{where} {name}" for where, name in defined if name not in kept]
+    assert not unused, ("definitions that only tests reach: "
+                        + ", ".join(unused))
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in mesogas.__all__ if not hasattr(mesogas, name)]
+    assert not missing, "__all__ names missing from mesogas: " + ", ".join(
+        missing)
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -11,9 +11,8 @@ from scipy.optimize import nnls
 from mesogas.coulomb import dense_kernel_matrix
 from mesogas.grids import Box, GridMeasure, dilate, mass
 from mesogas.rates import (ExteriorDomain, alpha_minimizer, blowup_on_domain,
-                           kappa_minimizer, n_rate, phi_background_gap,
-                           phi_mass_constrained, phi_rate, phi_scaling_check,
-                           t_rate)
+                           kappa_minimizer, n_rate, phi_rate,
+                           phi_scaling_check, t_rate)
 
 INNER = Box.cube(np.zeros(3), 0.5)
 
@@ -116,21 +115,6 @@ def test_phi_matches_dense_nnls_oracle():
         assert rep.value == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
-def test_phi_mass_cap_binds_and_relaxes():
-    rng = np.random.default_rng(61)
-    dom = small_domain(4, 2)
-    mu = GridMeasure(INNER, 4, rng.uniform(0.2, 0.6, (4, 4, 4)))
-    free = phi_rate(mu, 0.05, dom)
-    free_mass = mass(free.minimizer)
-    capped = phi_mass_constrained(mu, 0.05, dom, 0.25 * free_mass)
-    assert capped.value >= free.value - 1e-10
-    assert mass(capped.minimizer) <= 0.25 * free_mass + 1e-8
-    loose = phi_mass_constrained(mu, 0.05, dom, 10.0 * free_mass)
-    assert loose.value == pytest.approx(free.value, rel=1e-6, abs=1e-10)
-    with pytest.raises(ValueError):
-        phi_mass_constrained(mu, 0.05, dom, -1.0)
-
-
 def test_phi_scaling_identity():
     rng = np.random.default_rng(8)
     dom = small_domain(4, 2)
@@ -177,6 +161,33 @@ def test_kappa_warns_when_blowup_spills(quad, thermal):
     up = dilate(sol.measure, 16.0 ** 0.05)
     with pytest.warns(UserWarning):
         kappa_minimizer(0.1, up, dom)
+
+
+@pytest.mark.parametrize("N, half_width, cells, factor, share, cause", [
+    # the sweep_energy lattices: the truncation box holds the dilated box
+    (16, 1.0, 8, 4, "122.632%", "nearest-cell resampling"),
+    (32, 1.0, 8, 4, "99.314%", "nearest-cell resampling"),
+    # a factor-2 truncation box cuts the dilated box
+    (16, 0.5, 4, 2, "80.145%", "truncation drops part of it"),
+    (16, 1.0, 4, 2, "126.295%", "truncation drops part of it"),
+])
+def test_t_rate_warns_on_a_mass_gap_of_either_sign(thermal, N, half_width,
+                                                   cells, factor, share,
+                                                   cause):
+    """The dilated thermal mass on the rate lattice should be N^(lambda d);
+    a gap above 0.1% either way warns, naming the resampling when the
+    truncation box holds the whole dilated box and truncation otherwise."""
+    dom = ExteriorDomain.build(Box.cube(np.zeros(3), half_width), cells,
+                               factor)
+    params = type("P", (), {"N": float(N), "lam": 0.05})()
+    mu = GridMeasure.uniform(dom.interior, cells, 0.01)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t_rate(mu, params, thermal(N, cells=16), dom, include_energy=False)
+    texts = [str(w.message) for w in caught]
+    assert len(texts) == 1, texts
+    assert f"carries {share} of the dilated thermal mass" in texts[0]
+    assert cause in texts[0]
 
 
 def test_alpha_closed_form(quad, thermal):
@@ -238,12 +249,16 @@ def test_t_rate_full_value_dominates_entropy_part(quad, thermal):
 
 
 def test_phi_background_gap_closes_with_n(quad, thermal):
-    params16 = type("P", (), {"N": 16.0, "lam": 0.05})()
-    params256 = type("P", (), {"N": 256.0, "lam": 0.05})()
+    """|Phi^{mu_V(0)}(rho) - Phi^{w_N}(rho)| for the dilated thermal
+    background w_N shrinks as N grows."""
     dom = small_domain(4, 2)
     rho = GridMeasure.uniform(INNER, 4, 0.3)
+    mu_v0 = quad.equilibrium_density(3)
+    gaps = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        g16 = phi_background_gap(rho, params16, thermal(16), dom)
-        g256 = phi_background_gap(rho, params256, thermal(256), dom)
-    assert g256 < g16
+        for N in (16, 256):
+            w, _ = blowup_on_domain(thermal(N), float(N), 0.05, dom)
+            gaps.append(abs(phi_rate(rho, mu_v0, dom).value
+                            - phi_rate(rho, w, dom).value))
+    assert gaps[1] < gaps[0]
