@@ -334,7 +334,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     N0 = 16
     gamma0 = first.gamma if first else 0.9
     beta0 = float(N0) ** (-gamma0)
-    th = solve_thermal(cfg.potential, N0, beta0,
+    th = solve_thermal(cfg.potential, N0, beta0, d=d,
                        cells_per_axis=cfg.cells_per_axis, tol=1e-10)
     checks.append(_check("thermal-el-residual", th.el_residual, 1e-6))
     worst = 0.0
@@ -475,7 +475,7 @@ def run_equilibrium(cfg: ExperimentConfig, out_dir: Path) -> int:
           f"converged={eq.converged}")
     if cfg.regimes:
         params = cfg.regimes[0][1]
-        th = solve_thermal(cfg.potential, params.N, params.beta,
+        th = solve_thermal(cfg.potential, params.N, params.beta, d=cfg.d,
                            cells_per_axis=cfg.cells_per_axis,
                            tol=cfg.solver_tol)
         (out_dir / "thermal.json").write_text(
@@ -485,18 +485,16 @@ def run_equilibrium(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _rate_for(cfg: ExperimentConfig, params: RegimeParams, mu: GridMeasure,
-              thermal=None):
+def _rate_for(cfg: ExperimentConfig, params: RegimeParams, mu: GridMeasure):
     alpha = cfg.mu_v_density()
     if cfg.rate_functional == "n":
         return n_rate(mu, alpha), None
     if cfg.rate_functional == "phi":
         rep = phi_rate(mu, alpha, cfg.domain, tol=1e-8)
         return rep.value, rep
-    if thermal is None:
-        thermal = solve_thermal(cfg.potential, params.N, params.beta,
-                                cells_per_axis=cfg.cells_per_axis,
-                                tol=cfg.solver_tol)
+    thermal = solve_thermal(cfg.potential, params.N, params.beta, d=cfg.d,
+                            cells_per_axis=cfg.cells_per_axis,
+                            tol=cfg.solver_tol)
     rep = t_rate(mu, params, thermal, cfg.domain, tol=1e-7)
     return rep.value, rep
 

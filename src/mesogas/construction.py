@@ -49,6 +49,9 @@ from .coulomb import (SpaceParams, ball_self_energy, energy_offdiag,
 from .grids import (AtomicMeasure, Box, GridMeasure, _lattice_centers,
                     bl_distance, mass, resample)
 
+# largest BL LP that `certify` solves; above it the target is coarsened
+BL_MAX_SITES = 1200
+
 
 # ---------------------------------------------------------------------------
 # tiling
@@ -358,7 +361,6 @@ def potential_gap(configuration: AtomicMeasure, nu: GridMeasure,
 
 def certify(configuration: AtomicMeasure, nu: GridMeasure, cube_size: float,
             separation: float, bound_constants: tuple[float, float] | None = None,
-            bl_max_sites: int = 1200,
             truncation_level: float | None = None) -> ConstructionReport:
     """Measure everything the construction promises, for any candidate.
 
@@ -366,7 +368,7 @@ def certify(configuration: AtomicMeasure, nu: GridMeasure, cube_size: float,
     least min_j tau_j, and every point keeps distance tau_j to its cube's
     boundary, where the counts n_j are read off the configuration itself.
     Quantitative certificates: BL distance to the normalized target (on a
-    coarsened lattice when the exact LP would exceed ``bl_max_sites``), the
+    coarsened lattice when the exact LP would exceed ``BL_MAX_SITES``), the
     smeared energy gap, and the sup-node potential gap, optionally compared
     against C/(N eta^d) + C eta + c eta^2 with the given constants.
     """
@@ -397,11 +399,11 @@ def certify(configuration: AtomicMeasure, nu: GridMeasure, cube_size: float,
 
     # proximity
     bl_nu = nu
-    if nu.density.size + n_pts > bl_max_sites:
-        budget = max(bl_max_sites - n_pts, 8)
+    if nu.density.size + n_pts > BL_MAX_SITES:
+        budget = max(BL_MAX_SITES - n_pts, 8)
         cpa = max(int(budget ** (1.0 / d)), 2)
         bl_nu = _normalized(resample(nu, nu.box, cpa))
-    bl = bl_distance(configuration, bl_nu, max_sites=bl_max_sites)
+    bl = bl_distance(configuration, bl_nu, max_sites=BL_MAX_SITES)
 
     e_gap, r_s = energy_gap(configuration, nu, tau_min)
     max_gap, _ = potential_gap(configuration, nu, tau_min)
@@ -478,19 +480,20 @@ class VolumeEstimate:
 
 def volume_estimate(nu: GridMeasure, mu_ref: GridMeasure, N: int,
                     cube_size: float, separation: float, trials: int,
-                    seed: int, probes: int = 128) -> VolumeEstimate:
+                    seed: int) -> VolumeEstimate:
     """Estimate (1/N) log of the reference-product volume of the placements.
 
     The combinatorial factor N! / prod n_j! times prod mu_ref(K_j)^{n_j}
     is evaluated exactly. The volume each cube loses to its boundary layer
     and to the sequential separation balls is estimated by Monte Carlo:
     within a trial the points are placed sequentially and the admissible
-    fraction before each placement is measured with uniform probes. The
+    fraction before each placement is measured with 128 uniform probes. The
     reference is assumed close to constant within cubes (it enters through
     cube masses only).
     """
-    if trials < 1 or probes < 8:
-        raise ValueError("need at least one trial and eight probes")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    probes = 128
     nu = _normalized(nu)
     tiling = CubeTiling.build(nu.box, cube_size)
     if not mu_ref.box.same_geometry(nu.box):

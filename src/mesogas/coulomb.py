@@ -46,7 +46,7 @@ from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftn
 from scipy.special import gamma as gamma_fn
 
 from . import kernels
-from .grids import AtomicMeasure, Box, GridMeasure, Measure
+from .grids import AtomicMeasure, GridMeasure, Measure
 
 
 @dataclass(frozen=True)
@@ -340,12 +340,11 @@ def energy(m: Measure, smear: SmearKind | None = None) -> float:
     return float(w * w * total)
 
 
-def interaction(a: Measure, b: Measure,
-                smear_radius: float | None = None) -> float:
+def interaction(a: Measure, b: Measure) -> float:
     """Bilinear form G(a, b) = double integral of g against a x b.
 
     grid x grid requires a shared lattice; atomic x grid smears the atoms
-    (default one cell diagonal). Atomic x atomic raises TypeError: its
+    at one cell diagonal. Atomic x atomic raises TypeError: its
     diagonal diverges, and ``energy_offdiag`` is the form that drops it.
     """
     if isinstance(a, GridMeasure) and isinstance(b, GridMeasure):
@@ -355,21 +354,18 @@ def interaction(a: Measure, b: Measure,
         a, b = b, a
     if not isinstance(b, GridMeasure):
         raise TypeError("interaction needs at least one grid measure")
-    vals = potential_at_points(b, a.points, smear_radius=smear_radius)
-    return float(a.weight * np.sum(vals))
+    return float(a.weight * np.sum(potential_at_points(b, a.points)))
 
 
 def energy_offdiag(atoms: AtomicMeasure | Sequence[AtomicMeasure] | None,
-                   grid: GridMeasure | None, box: Box | None = None,
+                   grid: GridMeasure | None,
                    smear_radius: float | None = None) -> float | np.ndarray:
     """E^{neq}(atoms + grid): the energy with atomic self-pairs removed.
 
     The atoms' common weight may be negative: E^{neq}(grid - nu) is
     ``energy_offdiag(AtomicMeasure(nu.points, -nu.weight), grid)``.
-    With `box` given, only self-pairs of atoms inside the box are removed
-    (the windowed form E^{neq}_box); an atom outside the box then keeps its
-    infinite self-energy and the value is +inf. Cross terms smear atoms at
-    `smear_radius` (default: one cell diagonal of the grid).
+    Self-pairs are removed for every atom, wherever it lies. Cross terms
+    smear atoms at `smear_radius` (default: one cell diagonal of the grid).
 
     `atoms` is an ``AtomicMeasure`` or None, and the value a float; or a
     sequence of them, one per configuration, and the value an array with
@@ -380,20 +376,15 @@ def energy_offdiag(atoms: AtomicMeasure | Sequence[AtomicMeasure] | None,
     many = atoms is not None and not isinstance(atoms, AtomicMeasure)
     configs = list(atoms) if many else [atoms]
     total = np.zeros(len(configs))
-    inbox, crossed = [], []
+    crossed = []
     for j, a in enumerate(configs):
         if a is None or a.count == 0:
-            inbox.append(j)
-            continue
-        if box is not None and not bool(np.all(box.contains(a.points))):
-            total[j] = math.inf
             continue
         total[j] = a.weight ** 2 * kernels.pairwise_g_sum(
             np.ascontiguousarray(a.points), float(a.d))
-        inbox.append(j)
         crossed.append(j)
-    if grid is not None and inbox:
-        total[inbox] += energy(grid)
+    if grid is not None:
+        total += energy(grid)
         if crossed:
             vals = potential_at_points(
                 grid, np.concatenate([configs[j].points for j in crossed]),

@@ -280,8 +280,7 @@ def _mirror_descent(L, evaluate, target, normalize, residual, tol: float,
 
 
 def solve_equilibrium(V: Potential, box: Box, cells_per_axis: int,
-                      tol: float = 1e-4, max_iter: int = 4000,
-                      support_tol: float = 1e-6) -> EquilibriumSolution:
+                      tol: float = 1e-4) -> EquilibriumSolution:
     """Minimize I_V over probability measures on the box grid."""
     like = GridMeasure.zeros(box, cells_per_axis)
     ker = grid_kernel(like)
@@ -302,7 +301,7 @@ def solve_equilibrium(V: Potential, box: Box, cells_per_axis: int,
     def el_of(x, h):
         r = x.reshape(shape)
         field = 2.0 * h + vgrid
-        supp = r > support_tol * r.max()
+        supp = r > 1e-6 * r.max()
         k = float(np.sum(field[supp] * r[supp]) / np.sum(r[supp]))
         return k, float(np.max(np.abs(field[supp] - k))), supp
 
@@ -311,11 +310,11 @@ def solve_equilibrium(V: Potential, box: Box, cells_per_axis: int,
         lambda h: (dv * (2.0 * h + vgrid)).ravel(),
         lambda z: _project_simplex(z, total),
         lambda x, h: el_of(x, h)[1],
-        2.0 * dv * dv * ker.lipschitz, tol, max_iter)
+        2.0 * dv * dv * ker.lipschitz, tol, 4000)
     rho = x.reshape(shape)
     k, el, supp = el_of(x, h)
     edge = rho[_boundary_mask(shape)]
-    if cells_per_axis > 2 and float(np.max(edge)) > support_tol * rho.max():
+    if cells_per_axis > 2 and float(np.max(edge)) > 1e-6 * rho.max():
         warnings.warn("equilibrium support touches the box boundary; "
                       "enlarge the box")
     meas = like.with_density(rho, signed=False)
@@ -325,28 +324,28 @@ def solve_equilibrium(V: Potential, box: Box, cells_per_axis: int,
         support_min=float(rho[supp].min()), support_max=float(rho[supp].max()))
 
 
-def thermal_box(V: Potential, N: float, beta: float, d: int,
-                density_ratio: float = 1e-12) -> Box:
+def thermal_box(V: Potential, N: float, beta: float, d: int) -> Box:
     """Box on which the thermal density at the boundary is negligible.
 
     The thermal density behaves like exp(-N beta (2h + V - k)), so the box
-    half-width solves V(hw) - k = -log(density_ratio) / (N beta), dropping
-    the nonnegative 2h term (which only suppresses further). k is the
-    analytic Euler-Lagrange constant d r^{2-d} of the quadratic equilibrium.
-    The equilibrium support also fits with margin.
+    half-width solves V(hw) - k = -log(1e-12) / (N beta), a density ratio
+    of 1e-12 against the support, dropping the nonnegative 2h term (which
+    only suppresses further). k is the analytic Euler-Lagrange constant
+    d r^{2-d} of the quadratic equilibrium. The equilibrium support also
+    fits with margin.
     """
     if V.kind != "quadratic":
         raise ValueError("automatic box sizing requires a quadratic potential")
     r = V.equilibrium_radius(d)
     k = d * r ** (2 - d)
-    hw_tail = math.sqrt((k - math.log(density_ratio) / (N * beta)) / V.coef)
+    hw_tail = math.sqrt((k - math.log(1e-12) / (N * beta)) / V.coef)
     hw_supp = 1.3 * r
     return Box.cube(np.zeros(d), max(hw_tail, hw_supp))
 
 
 def solve_thermal(V: Potential, N: float, beta: float,
                   box: Box | None = None, cells_per_axis: int = 32, d: int = 3,
-                  tol: float = 1e-9, max_iter: int = 4000) -> EquilibriumSolution:
+                  tol: float = 1e-9) -> EquilibriumSolution:
     """Minimize E_beta = I_V + 1/(N beta) ent by a damped log-space fixed point."""
     if N < 1 or beta <= 0:
         raise ValueError("need N >= 1 and beta > 0")
@@ -376,7 +375,7 @@ def solve_thermal(V: Potential, N: float, beta: float,
         lambda aux: -nb * (2.0 * aux[1] + vgrid),
         lambda L: _log_normalize(L, dv),
         lambda L, aux: el_of(L, aux)[1],
-        tol, max_iter, s_min=1e-4, s_max=0.95, grow=1.3)
+        tol, 4000, s_min=1e-4, s_max=0.95, grow=1.3)
     k, el = el_of(L, (rho, h))
     if cells_per_axis > 2:
         ratio = float(np.max(rho[_boundary_mask(rho.shape)])) / float(rho.max())

@@ -87,10 +87,8 @@ class Box:
         return {"center": self.center.tolist(), "half_width": self.half_width.tolist()}
 
     @staticmethod
-    def cube(center, R: float, d: int | None = None) -> "Box":
+    def cube(center, R: float) -> "Box":
         c = np.atleast_1d(np.asarray(center, dtype=float))
-        if c.shape == (1,) and d is not None:
-            c = np.full(d, float(c[0]))
         return Box(c, np.full(c.shape[0], float(R)))
 
 
@@ -167,9 +165,9 @@ class GridMeasure:
         out[ok] = self.density.ravel()[flat[ok]]
         return out
 
-    def same_lattice(self, other: "GridMeasure", tol: float = 1e-10) -> bool:
+    def same_lattice(self, other: "GridMeasure") -> bool:
         return (self.cells_per_axis == other.cells_per_axis
-                and self.box.same_geometry(other.box, tol))
+                and self.box.same_geometry(other.box, 1e-10))
 
     # -- algebra on a shared lattice ----------------------------------------
 

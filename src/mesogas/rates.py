@@ -39,7 +39,7 @@ import numpy as np
 
 from .coulomb import grid_kernel
 from .equilibrium import _log_normalize, _mirror_descent, _projected_gradient
-from .grids import Box, GridMeasure, mass, relative_entropy
+from .grids import Box, GridMeasure, box_mass, mass, relative_entropy
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,26 +144,22 @@ class RateReport:
         }
 
 
-def n_rate(mu: GridMeasure, ref_density: float, box: Box | None = None) -> float:
-    """ent[mu | ref 1_box] + ref*vol(box) - |mu|, in closed form.
+def n_rate(mu: GridMeasure, ref_density: float) -> float:
+    """ent[mu | ref 1_box] + ref*vol(box) - |mu|, in closed form, on mu's box.
 
     The reference is strictly positive on the box, so every grid measure on
-    the box is absolutely continuous with respect to it; a measure living
-    outside the box is rejected. mu = 0 gives the pure mass term ref*vol.
+    the box is absolutely continuous with respect to it. mu = 0 gives the
+    pure mass term ref*vol.
     """
     if ref_density <= 0:
         raise ValueError("reference density must be positive")
-    if box is None:
-        box = mu.box
-    elif not mu.box.same_geometry(box):
-        raise ValueError("measure must live on the reference box")
     if mu.signed and np.any(mu.density < 0):
         raise ValueError("n_rate needs a positive measure")
     dv = mu.cell_volume
     dens = mu.density
     pos = dens > 0
     rel = float(np.sum(dens[pos] * np.log(dens[pos] / ref_density)) * dv)
-    return rel + ref_density * box.volume - float(np.sum(dens) * dv)
+    return rel + ref_density * mu.box.volume - float(np.sum(dens) * dv)
 
 
 def _background_full(background, domain: ExteriorDomain) -> np.ndarray:
@@ -219,8 +215,7 @@ def phi_rate(mu: GridMeasure, alpha, domain: ExteriorDomain,
 
 
 def phi_scaling_check(mu: GridMeasure, alpha, domain: ExteriorDomain,
-                      x: float, tol: float = 1e-8,
-                      max_iter: int = 5000) -> tuple[float, float]:
+                      x: float) -> tuple[float, float]:
     """Both sides of Phi^alpha(mu) = x^{-(d+2)} Phi^alpha_{x window}(mu^x).
 
     Dilation preserves density values, so the background stays alpha; the
@@ -228,9 +223,9 @@ def phi_scaling_check(mu: GridMeasure, alpha, domain: ExteriorDomain,
     """
     from .grids import dilate
     d = domain.d
-    lhs = phi_rate(mu, alpha, domain, tol, max_iter).value
+    lhs = phi_rate(mu, alpha, domain).value
     rhs_raw = phi_rate(dilate(mu, x), alpha, domain.scaled(x),
-                       tol * x ** (d + 2), max_iter).value
+                       1e-8 * x ** (d + 2)).value
     return lhs, float(x ** (-(d + 2)) * rhs_raw)
 
 
@@ -365,15 +360,18 @@ def _t_minimize(q_fixed: np.ndarray, logw: np.ndarray, target_mass: float,
 
 
 def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
-           include_energy: bool = True, mu_v0: float | None = None,
+           include_energy: bool = True,
            tol: float = 1e-8, max_iter: int = 2000) -> RateReport:
     """T(mu) = min_nu E(mu + nu - w) + ent[nu|w] with |nu| = |w| - |mu|.
 
     w is the thermal measure dilated by N^lambda (params supplies N and lam).
-    The report's value is T; extras carry the script variant
-    T + ent[mu | mu_v0 1_window] and the energy/entropy split.
-    ``include_energy=False`` drops the quadratic term, which reduces the
-    problem to the closed-form kappa minimizer (used as an oracle in tests).
+    The report's value is T; extras carry the energy/entropy split and, for
+    a quadratic potential, the script variant T + ent[mu | mu_v0 1_window]
+    with mu_v0 its equilibrium density. ``include_energy=False`` drops the
+    quadratic term, which reduces the problem to the closed-form kappa
+    minimizer (used as an oracle in tests). A dilated thermal mass off
+    N^(lambda d) by over 0.1% warns, blaming truncation when the truncation
+    box pulled back by N^-lambda holds under 99.9% of the thermal mass.
     """
     N, lam = float(params.N), float(params.lam)
     w, logw = blowup_on_domain(thermal_sol, N, lam, domain)
@@ -381,16 +379,14 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
     total = float(N ** (lam * domain.d))
     covered = float(np.sum(w) * dv)
     if abs(covered / total - 1.0) > 1e-3:
-        if domain.covers(thermal_sol.measure.box.scaled(N ** lam)):
-            cause = ("the truncation box holds the whole dilated box, so the "
-                     "gap is the nearest-cell resampling of the thermal "
-                     "lattice onto the rate lattice")
-        else:
-            cause = ("the dilated box reaches past the truncation box, so "
-                     "truncation drops part of it; enlarge the truncation "
-                     "factor")
+        held = box_mass(thermal_sol.measure,
+                        domain.truncation.scaled(N ** -lam))
+        cause = ("truncation drops part of it; enlarge the truncation factor"
+                 if held < 0.999 else "the gap is the nearest-cell "
+                 "resampling of the thermal lattice onto the rate lattice")
         warnings.warn(f"the rate lattice carries {covered / total:.3%} of "
-                      f"the dilated thermal mass N^(lambda d); {cause}")
+                      "the dilated thermal mass N^(lambda d); the truncation "
+                      f"box holds {held:.3%} of the thermal mass, so {cause}")
     mu_mass = mass(mu)
     target = covered - mu_mass
     if target <= 0:
@@ -408,9 +404,8 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
     extras = {"energy_term": energy_term,
               "entropy_term": obj - (energy_term if include_energy else 0.0)}
 
-    if mu_v0 is None and getattr(thermal_sol.potential, "kind", None) == "quadratic":
+    if getattr(thermal_sol.potential, "kind", None) == "quadratic":
         mu_v0 = thermal_sol.potential.equilibrium_density(domain.d)
-    if mu_v0 is not None:
         ref = GridMeasure.uniform(domain.interior, mu.cells_per_axis,
                                   value=float(mu_v0))
         extras["t_script"] = obj + relative_entropy(mu, ref)

@@ -99,15 +99,13 @@ class RegimeParams:
         return Box.cube(np.zeros(self.d), self.R)
 
 
-def hamiltonian(X: np.ndarray, V, N: int, d: int | None = None) -> float:
+def hamiltonian(X: np.ndarray, V, N: int) -> float:
     """Ordered-pair interaction energy plus N-weighted confinement.
 
     Coincident points give +inf (the kernel diverges on the diagonal).
     """
     pts = np.ascontiguousarray(np.atleast_2d(X), dtype=float)
-    if d is None:
-        d = pts.shape[1]
-    pair = kernels.pairwise_g_sum(pts, d)
+    pair = kernels.pairwise_g_sum(pts, pts.shape[1])
     if not math.isfinite(pair):
         return math.inf
     return float(pair) + float(N) * float(np.sum(V(pts)))
@@ -214,10 +212,10 @@ def gibbs_sample(params: RegimeParams, V, steps: int, burn_in: int,
     ham = np.empty(C)
     for c, rng in enumerate(rngs):
         x[c] = rng.standard_normal((N, d)) * max(init_scale, 1e-3)
-        ham[c] = hamiltonian(x[c], V, N, d)
+        ham[c] = hamiltonian(x[c], V, N)
         while not math.isfinite(ham[c]):
             x[c] = rng.standard_normal((N, d))
-            ham[c] = hamiltonian(x[c], V, N, d)
+            ham[c] = hamiltonian(x[c], V, N)
 
     scale = [0.5 / max(N * beta, 1.0) ** 0.5] * C
     accepted_total = np.zeros(C, dtype=np.int64)
@@ -269,7 +267,7 @@ def gibbs_sample(params: RegimeParams, V, steps: int, burn_in: int,
         if since_check >= 25:
             since_check = 0
             for c in range(C):
-                exact = hamiltonian(x[c], V, N, d)
+                exact = hamiltonian(x[c], V, N)
                 if abs(exact - ham[c]) > 1e-8 * max(1.0, abs(exact)):
                     warnings.warn("hamiltonian drift "
                                   f"{abs(exact - ham[c]):.2e}; resynced")
@@ -341,19 +339,14 @@ def binomial_estimate(hits: Sequence[bool]) -> tuple[float, float]:
 
 
 def estimate_event_probability(params: RegimeParams, V, predicate,
-                               n_chains: int, seed: int,
-                               steps: int | None = None,
-                               burn_in: int | None = None
-                               ) -> tuple[float, float]:
+                               n_chains: int, seed: int) -> tuple[float, float]:
     """Fraction of thinned post-burn-in samples where predicate(state) holds.
 
-    All chains run in lockstep in one ``gibbs_sample`` call; the estimate
-    and its error bar come from ``binomial_estimate``.
+    Each chain makes 200 N proposals, the first half of them burn-in. All
+    chains run in lockstep in one ``gibbs_sample`` call; the estimate and
+    its error bar come from ``binomial_estimate``.
     """
-    if steps is None:
-        steps = 200 * params.N
-    if burn_in is None:
-        burn_in = steps // 2
-    runs = gibbs_sample(params, V, steps, burn_in, seed, range(n_chains))
+    steps = 200 * params.N
+    runs = gibbs_sample(params, V, steps, steps // 2, seed, range(n_chains))
     return binomial_estimate([bool(predicate(state))
                               for states in runs for state in states])

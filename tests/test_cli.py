@@ -185,6 +185,42 @@ def test_bad_window_geometry_exits_2_at_load(tmp_path, capsys, command,
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_commands_run_the_thermal_solve_in_the_configured_dimension(
+        tmp_path):
+    """At d = 4 every subcommand that solves the thermal problem solves it
+    in four dimensions, so its box, the T rate and the sweep row agree in
+    dimension with the window."""
+    obj = base_config()
+    obj.update(d=4, grid={"N": [16], "gamma": [0.6], "lambda": [0.02]},
+               target={"kind": "uniform", "value": 0.1},
+               rate={"functional": "t"})
+    obj["solver"] = {**obj["solver"], "cells_per_axis": 8}
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps(obj))
+    codes = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for command in ("equilibrium", "rate", "sweep", "verify"):
+            codes[command] = main([command, "--config", str(path),
+                                   "--out", str(tmp_path / command)])
+    thermal = json.loads((tmp_path / "equilibrium" / "thermal.json")
+                         .read_text())
+    assert len(thermal["measure"]["box"]["center"]) == 4
+    assert codes["rate"] == 0
+    rate = json.loads((tmp_path / "rate" / "rate_t.json").read_text())
+    assert math.isfinite(rate["value"])
+    assert codes["sweep"] == 0
+    with open(tmp_path / "sweep" / "sweep.csv") as fh:
+        row, = csv.DictReader(fh)
+    assert row["error"] == "" and math.isfinite(float(row["rate_value"]))
+    report = json.loads((tmp_path / "verify" / "verify.json").read_text())
+    assert len(report["checks"]) == 15
+    # 8 cells per axis are too coarse for the analytic equilibrium density
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "equilibrium-vs-analytic"]
+    assert codes["verify"] == 1
+
+
 @pytest.mark.parametrize("lam, flagged", [(0.05, "gamma=0.3"),
                                           (0.0, "lambda=0")])
 def test_sample_warns_once_per_out_of_range_value(tmp_path, lam, flagged):

@@ -194,12 +194,6 @@ def test_smeared_energy_equality_iff_separated():
     assert rhs2 < lhs2 * (1 - 1e-9)
 
 
-def test_energy_offdiag_windowed_form_rejects_outside_atoms():
-    grid = GridMeasure.uniform(Box.cube(np.zeros(3), 1.0), 8, 1.0 / 8.0)
-    outside = AtomicMeasure(np.array([[3.0, 0.0, 0.0]]), 1.0)
-    assert energy_offdiag(outside, grid, box=grid.box) == math.inf
-
-
 def test_energy_offdiag_two_far_atoms():
     """With the diagonal dropped, two atoms interact like point charges and
     the grid terms cancel when the grid measure is zero."""

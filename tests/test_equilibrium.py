@@ -80,8 +80,6 @@ def test_thermal_approaches_equilibrium_center_density(quad, thermal):
 def test_thermal_box_contains_support(quad):
     box = thermal_box(quad, 64, 64.0 ** -0.3, 3)
     assert box.half_width[0] >= 1.3
-    wider = thermal_box(quad, 64, 64.0 ** -0.3, 3, density_ratio=1e-20)
-    assert wider.half_width[0] > box.half_width[0]
 
 
 def test_zeta_confines(quad, thermal):

@@ -96,6 +96,71 @@ def test_every_definition_serves_the_package_or_the_gate():
                         + ", ".join(unused))
 
 
+def _defaulted_parameters(tree):
+    """(function name, parameter, position) for each defaulted parameter of
+    every function and method in `tree`. The position counts the arguments
+    a call passes, so a method's bound first parameter is left out; it is
+    None for a keyword-only parameter.
+    """
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = in_class and not any(
+                    isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                    for dec in child.decorator_list)
+                for k in range(len(positional) - len(args.defaults),
+                               len(positional)):
+                    yield child.name, positional[k].arg, k - bound
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield child.name, arg.arg, None
+            yield from visit(child, isinstance(child, ast.ClassDef))
+    yield from visit(tree, False)
+
+
+def _sets(call, name, position):
+    """Whether `call` passes the parameter, by keyword or by position; a
+    ``**mapping`` passes every parameter and a ``*sequence`` every position
+    from its own on."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    for k, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return k <= position
+    return len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    """Each defaulted parameter of a function or method of the package is
+    set by some call, in the package, the acceptance gate or the benchmark
+    harness, to a function of that name. A default that no such call
+    overrides is a constant, and belongs where the value is used.
+    """
+    callers = (sorted(SRC.glob("*.py")) + [TESTS / "test_acceptance.py"]
+               + sorted((TESTS.parent / "perfbench").glob("*.py")))
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unset += [f"{path.name} {func}({param})"
+                  for func, param, position in _defaulted_parameters(tree)
+                  if not any(_sets(call, param, position)
+                             for call in calls.get(func, ()))]
+    assert not unset, "defaulted parameters no caller sets: " + ", ".join(
+        unset)
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in mesogas.__all__ if not hasattr(mesogas, name)]
     assert not missing, "__all__ names missing from mesogas: " + ", ".join(

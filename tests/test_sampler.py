@@ -293,14 +293,13 @@ def test_ball_scores_match_each_field_scored_alone(stack):
 
 def test_estimate_event_probability_bounds(quad):
     p = make_params(N=8)
+    # 200 N = 1,600 proposals per chain, half burn-in: 100 snapshots each
     p_hat, err = estimate_event_probability(p, quad, lambda s: False,
-                                            n_chains=2, seed=1,
-                                            steps=20 * 8, burn_in=10 * 8)
+                                            n_chains=2, seed=1)
     assert p_hat == 0.0
-    assert err == pytest.approx(3.0 / 20.0)
+    assert err == pytest.approx(3.0 / 200.0)
     p_hat, err = estimate_event_probability(p, quad, lambda s: True,
-                                            n_chains=2, seed=1,
-                                            steps=20 * 8, burn_in=10 * 8)
+                                            n_chains=2, seed=1)
     assert p_hat == 1.0
 
 
