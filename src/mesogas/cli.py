@@ -34,6 +34,16 @@ pid and seconds of each stage (``ball_pid``, ``ball_s``, ``rate_pid``,
 ``rate_s``; null for a stage that failed), and under ``tasks``, in start
 order, each task's row index, stage, pid, start offset and seconds.
 
+``verify``, ``rate`` and ``construct`` record every distinct warning their
+work raised under ``"warnings"`` in their JSON report, and print each one
+to stderr once.
+
+Importing this module loads numpy, ``scipy.fft`` and ``scipy.special``
+(which ``scipy.fft`` loads itself). ``load_config`` adds scipy's LP stack,
+``scipy.optimize`` with ``scipy.sparse``, ``scipy.linalg`` and
+``scipy.spatial``, only for a config that asks for a BL LP; a run that
+solves none, such as an energy-ball sweep, never loads it.
+
 Exit codes: 0 success, 1 invariant failure, 2 invalid configuration.
 The configuration is read once: each (N, gamma, lambda) of the grid becomes
 a ``RegimeParams``, the window and its truncated exterior an
@@ -62,7 +72,8 @@ import numpy as np
 
 from .construction import ConstructionParams, construct
 from .equilibrium import Potential, solve_equilibrium, solve_thermal
-from .grids import AtomicMeasure, Box, GridMeasure, bl_distance, mass
+from .grids import (AtomicMeasure, Box, GridMeasure, _lp_stack, bl_distance,
+                    mass)
 from .rates import ExteriorDomain, n_rate, phi_rate, t_rate
 from .sampler import (RegimeParams, ball_scores, binomial_estimate,
                       chain_to_jsonl, gibbs_sample, local_empirical_field)
@@ -252,7 +263,12 @@ def load_config(path: str) -> ExperimentConfig:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return ExperimentConfig.from_json(obj)
+    cfg = ExperimentConfig.from_json(obj)
+    # a config that asks for a BL LP loads the solver now, so that start-up
+    # pays for the import and forked sweep helpers inherit it
+    if cfg.ball_type == "bl" or "construction" in obj:
+        _lp_stack()
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +422,22 @@ def _messages(caught) -> list[str]:
     return list(dict.fromkeys(str(w.message) for w in caught))
 
 
-def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
+def _recording_warnings(work):
+    """Run `work()` and return its result with the distinct texts of the
+    warnings it raised, each printed to stderr once, also when it fails."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
-        checks = _verify_checks(cfg)
+        try:
+            return work(), _messages(caught)
+        finally:
+            for msg in _messages(caught):
+                print(f"warning: {msg}", file=sys.stderr)
+
+
+def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
+    checks, messages = _recording_warnings(lambda: _verify_checks(cfg))
     passed = all(c["passed"] for c in checks)
-    report = {"checks": checks, "passed": passed, "warnings": _messages(caught),
+    report = {"checks": checks, "passed": passed, "warnings": messages,
               "seed": cfg.seed, "cells_per_axis": cfg.cells_per_axis}
     text = json.dumps(report, sort_keys=True, indent=2)
     (out_dir / "verify.json").write_text(text + "\n")
@@ -503,12 +529,14 @@ def run_rate(cfg: ExperimentConfig, out_dir: Path) -> int:
     params = _first_regime(cfg)
     mu = cfg.target_measure(params.N, params.lam)
     try:
-        value, rep = _rate_for(cfg, params, mu)
+        (value, rep), messages = _recording_warnings(
+            lambda: _rate_for(cfg, params, mu))
     except ValueError as exc:  # e.g. a T target the thermal gas cannot reach
         raise ConfigError(f"infeasible rate target: {exc}") from exc
     payload = rep.to_json() if rep is not None else {
         "functional": "N", "value": value, "minimizer": None,
         "iterations": 0, "kkt_residual": 0.0, "mass_error": 0.0}
+    payload["warnings"] = messages
     name = {"n": "N", "phi": "Phi", "t": "T"}[cfg.rate_functional]
     (out_dir / f"rate_{cfg.rate_functional}.json").write_text(
         json.dumps(payload, sort_keys=True) + "\n")
@@ -518,9 +546,10 @@ def run_rate(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def run_construct(cfg: ExperimentConfig, out_dir: Path) -> int:
     params = cfg.construction
-    report = construct(params, seed=cfg.seed, volume_trials=cfg.volume_trials)
-    (out_dir / "construction.json").write_text(
-        json.dumps(report.to_json(), sort_keys=True) + "\n")
+    report, messages = _recording_warnings(lambda: construct(
+        params, seed=cfg.seed, volume_trials=cfg.volume_trials))
+    (out_dir / "construction.json").write_text(json.dumps(
+        {**report.to_json(), "warnings": messages}, sort_keys=True) + "\n")
     print(f"construction: N={params.N} min_sep={report.min_separation:.4f} "
           f"(tau_min {report.tau_min:.4f}) bl={report.bl_to_target:.4f} "
           f"energy_gap={report.energy_gap:.5f} ok={report.separation_ok}")

@@ -20,6 +20,13 @@ Geometric conventions:
 The bounded-Lipschitz distance is computed exactly on the discrete support
 (union of atoms and cell centers) as a min-cost-flow linear program; callers
 pick the resolution they can afford.
+
+Importing this module loads numpy alone. The LP stack (``scipy.sparse``,
+``scipy.optimize.linprog``, ``scipy.spatial.distance.cdist``) loads on the
+first call of ``_lp_stack``: ``scipy.optimize`` brings ``scipy.linalg``,
+``scipy.spatial`` and ``scipy.constants`` with it. That import is about
+0.2 s of the 0.56 s start-up of perfbench's ``sweep_energy`` (shared 2-CPU
+VM), which a run solving no BL LP does not need.
 """
 
 from __future__ import annotations
@@ -27,9 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.spatial.distance import cdist
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +317,19 @@ def _site_list(m: Measure) -> tuple[np.ndarray, np.ndarray]:
     return m.points, np.full(m.count, m.weight)
 
 
+def _lp_stack():
+    """scipy's LP stack for ``bl_distance``: (sparse, linprog, cdist).
+
+    The one place it is imported. ``cli.load_config`` calls it too, for a
+    config whose run solves a BL LP, so that start-up pays for the import
+    and forked sweep helpers inherit the loaded modules.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+    from scipy.spatial.distance import cdist
+    return sparse, linprog, cdist
+
+
 def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
     """Bounded-Lipschitz distance sup{ integral f d(a-b) : |f|<=1, Lip(f)<=1 }.
 
@@ -348,6 +365,7 @@ def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
         raise ValueError(
             f"bl_distance: {n} sites exceed max_sites={max_sites}; "
             "coarsen the measures or raise the cap")
+    sparse, linprog, cdist = _lp_stack()
     src, snk = np.flatnonzero(w > 0.0), np.flatnonzero(w < 0.0)
     dd = cdist(pts[src], pts[snk])
     i, j = np.nonzero(dd < 2.0)

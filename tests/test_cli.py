@@ -304,6 +304,29 @@ def test_rate_command_reports_zero_at_the_reference(config_path, tmp_path,
     assert abs(payload["value"]) < 1e-12
 
 
+def test_rate_records_and_prints_its_warnings(tmp_path, capsys):
+    """On the sweep_energy geometry at N = 16 the nearest-cell resampling
+    puts 122.632% of the dilated thermal mass on the rate lattice. The T
+    rate warns; `rate` writes the text under "warnings" in rate_t.json and
+    prints it to stderr once."""
+    obj = base_config()
+    obj.update(grid={"N": [16], "gamma": [0.3], "lambda": [0.05]},
+               ball={"type": "energy", "epsilon": 0.5, "k": 0.0},
+               target={"kind": "uniform", "value": 0.1},
+               solver={"cells_per_axis": 16, "tol": 1e-8, "window_cells": 8,
+                       "exterior_factor": 4},
+               rate={"functional": "t"})
+    del obj["construction"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["rate", "--config", str(path), "--out", str(out)]) == 0
+    payload = json.loads((out / "rate_t.json").read_text())
+    gap, = [m for m in payload["warnings"] if "rate lattice carries" in m]
+    assert "122.632%" in gap
+    assert capsys.readouterr().err.count(gap) == 1
+
+
 def test_construct_command_writes_certificate(config_path, tmp_path):
     out = tmp_path / "out"
     code = main(["construct", "--config", str(config_path),
@@ -314,6 +337,25 @@ def test_construct_command_writes_certificate(config_path, tmp_path):
     assert report["boundary_ok"] is True
     assert report["min_separation"] >= report["tau_min"]
     assert len(report["points"]) == 64
+    assert report["warnings"] == []
+
+
+def test_construct_records_and_prints_its_warnings(config_path, tmp_path,
+                                                   monkeypatch, capsys):
+    real = cli.construct
+
+    def warning_construct(*args, **kwargs):
+        warnings.warn("planted by the construction")
+        warnings.warn("planted by the construction")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "construct", warning_construct)
+    out = tmp_path / "out"
+    assert main(["construct", "--config", str(config_path),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "construction.json").read_text())
+    assert report["warnings"] == ["planted by the construction"]
+    assert capsys.readouterr().err.count("planted by the construction") == 1
 
 
 def test_sweep_command_is_deterministic(config_path, tmp_path):

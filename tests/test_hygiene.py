@@ -1,9 +1,11 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import mesogas
@@ -177,3 +179,35 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr or "scipy.integrate was loaded"
+
+
+def test_lp_stack_loads_only_for_a_config_that_solves_a_bl_lp(tmp_path):
+    """After the imports of the benchmark's worker and the load of an
+    energy-ball config with no construction section, none of scipy's LP
+    stack (nor scipy.integrate) is loaded; loading a BL config loads it."""
+    energy = {"grid": {"N": [16], "gamma": [0.5], "lambda": [0.05]},
+              "ball": {"type": "energy"}, "rate": {"functional": "t"}}
+    bl = {**energy, "ball": {"type": "bl"}}
+    paths = []
+    for name, obj in (("energy", energy), ("bl", bl)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(obj))
+    script = textwrap.dedent("""
+        import sys
+        from mesogas import (cli, construction, coulomb, equilibrium,
+                             grids, kernels, rates, sampler)
+        cli.load_config(sys.argv[1])
+        loaded = [m for m in ("scipy.optimize", "scipy.sparse",
+                              "scipy.spatial", "scipy.integrate")
+                  if m in sys.modules]
+        if loaded:
+            sys.exit(f"the energy config loaded {loaded}")
+        cli.load_config(sys.argv[2])
+        if "scipy.optimize" not in sys.modules:
+            sys.exit("the BL config left scipy.optimize unloaded")
+        """)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, paths)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -154,10 +154,28 @@ def test_kappa_closed_form_scales_the_exterior():
 
 
 def test_kappa_warns_when_blowup_spills(quad, thermal):
+    """0.321 of the dilated mass 1.516 (21.2%) lies outside the truncation
+    box, and the warning reports that mass."""
     sol = thermal(16)
     dom = small_domain()
     up = dilate(sol.measure, 16.0 ** 0.05)
-    with pytest.warns(UserWarning):
+    outside = mass(up) - box_mass(up, dom.truncation)
+    assert outside == pytest.approx(0.321, abs=5e-4)
+    with pytest.warns(UserWarning, match=r"\(0\.321 of its 1\.52 mass"):
+        kappa_minimizer(0.1, up, dom)
+
+
+def test_kappa_is_silent_when_the_truncation_box_holds_the_mass(thermal):
+    """The dilated thermal box (half-width 3.03) reaches past the
+    truncation box (half-width 2), but the box holds 99.9993% of the
+    mass, so nothing is worth a warning."""
+    sol = thermal(16)
+    dom = ExteriorDomain.build(INNER, 2, 4)
+    up = dilate(sol.measure, 16.0 ** 0.05)
+    assert np.any(up.box.half_width > dom.truncation.half_width)
+    assert box_mass(up, dom.truncation) > 0.999 * mass(up)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         kappa_minimizer(0.1, up, dom)
 
 
