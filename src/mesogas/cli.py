@@ -50,6 +50,7 @@ a ``RegimeParams``, the window and its truncated exterior an
 ``ExteriorDomain`` and the construction section a ``ConstructionParams``,
 so their own validity rules decide what is a configuration error and their
 warnings flag values outside the hypothesis ranges of the scaling theory.
+A sweep row's ``regime`` is the one its ``RegimeParams`` decided.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -76,7 +76,8 @@ from .grids import (AtomicMeasure, Box, GridMeasure, _lp_stack, bl_distance,
                     mass)
 from .rates import ExteriorDomain, n_rate, phi_rate, t_rate
 from .sampler import (RegimeParams, ball_scores, binomial_estimate,
-                      chain_to_jsonl, gibbs_sample, local_empirical_field)
+                      chain_to_jsonl, gibbs_sample, local_empirical_field,
+                      speed_exponents)
 
 SWEEP_COLUMNS = ["N", "gamma", "lambda", "regime", "ball_type", "epsilon",
                  "k", "p_hat", "stderr", "acceptance", "rate_value",
@@ -85,26 +86,6 @@ SWEEP_COLUMNS = ["N", "gamma", "lambda", "regime", "ball_type", "epsilon",
 
 class ConfigError(ValueError):
     """Raised for mathematically invalid configuration input."""
-
-
-# ---------------------------------------------------------------------------
-# regime classification
-# ---------------------------------------------------------------------------
-
-def classify_regime(gamma, lam) -> str:
-    """Compare gamma against the critical line 1 - 2 lambda, exactly.
-
-    Inputs may be floats (exact binary rationals), integers, Fractions, or
-    strings like "9/10"; the comparison happens in rational arithmetic, so
-    points on the critical line classify as critical with no float fuzz.
-    """
-    g = Fraction(gamma)
-    star = 1 - 2 * Fraction(lam)
-    if g > star:
-        return "subcritical"
-    if g < star:
-        return "supercritical"
-    return "critical"
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +102,9 @@ def _as_list(x):
 class ExperimentConfig:
     """Validated view of the single JSON configuration document.
 
-    ``regimes`` is the (N, gamma, lambda) product of the grid, each triple
-    as written (so "9/10" stays exact for ``classify_regime``) paired with
-    its ``RegimeParams``; it is empty when the config has no grid.
+    ``regimes`` is the (N, gamma, lambda) product of the grid, one
+    ``RegimeParams`` each, classified from gamma and lambda as written (so
+    "9/10" stays exact); it is empty when the config has no grid.
     ``domain`` is the window cube of half-width R (``domain.interior``)
     with its truncated exterior, built from ``solver.window_cells`` and
     ``solver.exterior_factor``.
@@ -131,7 +112,7 @@ class ExperimentConfig:
 
     d: int = 3
     potential: Potential = field(default_factory=Potential)
-    regimes: list = field(default_factory=list)
+    regimes: list[RegimeParams] = field(default_factory=list)
     R: float = 1.0
     ball_type: str = "bl"
     ball_epsilon: float = 0.5
@@ -155,7 +136,7 @@ class ExperimentConfig:
         """Parse and validate; every rejected value raises ConfigError."""
         try:
             return ExperimentConfig._parse(obj)
-        except (ValueError, TypeError) as exc:  # ConfigError included
+        except (ValueError, TypeError, OverflowError) as exc:  # ConfigError too
             raise ConfigError(str(exc)) from exc
 
     @staticmethod
@@ -174,11 +155,9 @@ class ExperimentConfig:
         axes = [_as_list(grid.get(key)) for key in ("N", "gamma", "lambda")]
         if any(axes) and not all(axes):
             raise ConfigError("grid must provide N, gamma, and lambda")
-        cfg.regimes = [
-            ((N, gamma, lam),
-             RegimeParams(N=int(N), gamma=float(Fraction(gamma)),
-                          lam=float(Fraction(lam)), R=cfg.R, d=cfg.d))
-            for N, gamma, lam in itertools.product(*axes)]
+        cfg.regimes = [RegimeParams(N=int(N), gamma=gamma, lam=lam, R=cfg.R,
+                                    d=cfg.d)
+                       for N, gamma, lam in itertools.product(*axes)]
         ball = obj.get("ball", {})
         cfg.ball_type = ball.get("type", "bl")
         if cfg.ball_type not in ("bl", "energy"):
@@ -212,13 +191,14 @@ class ExperimentConfig:
             raise ConfigError("sampler needs chains >= 1 and "
                               "steps > burn_in >= 0")
         c = obj.get("construction", {})
+        quantile = c.get("truncate_quantile")
         box = Box.cube(np.zeros(cfg.d), float(c.get("half_width", 1.0)))
         cfg.construction = ConstructionParams(
             target=GridMeasure.uniform(box, int(c.get("target_cells", 16)),
                                        1.0 / box.volume),
             N=int(c.get("N", 256)), cube_size=float(c.get("cube_size", 0.5)),
             separation=float(c.get("separation", 0.2)),
-            truncate_quantile=c.get("truncate_quantile"))
+            truncate_quantile=None if quantile is None else float(quantile))
         cfg.volume_trials = int(c.get("volume_trials", 4))
         cfg.rate_functional = obj.get("rate", {}).get("functional", "n")
         if cfg.rate_functional not in ("n", "phi", "t"):
@@ -346,7 +326,7 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     checks.append(_check("equilibrium-el-residual", eq.el_residual, 1e-3))
 
     # thermal solver and splitting identity
-    first = cfg.regimes[0][1] if cfg.regimes else None
+    first = cfg.regimes[0] if cfg.regimes else None
     N0 = 16
     gamma0 = first.gamma if first else 0.9
     beta0 = float(N0) ** (-gamma0)
@@ -456,7 +436,7 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
 def _first_regime(cfg: ExperimentConfig) -> RegimeParams:
     if not cfg.regimes:
         raise ConfigError("grid must provide N, gamma, and lambda")
-    return cfg.regimes[0][1]
+    return cfg.regimes[0]
 
 
 def _run_chains(cfg: ExperimentConfig, params: RegimeParams):
@@ -500,7 +480,7 @@ def run_equilibrium(cfg: ExperimentConfig, out_dir: Path) -> int:
     print(f"equilibrium: k={eq.k:.6f} el_residual={eq.el_residual:.3e} "
           f"converged={eq.converged}")
     if cfg.regimes:
-        params = cfg.regimes[0][1]
+        params = cfg.regimes[0]
         th = solve_thermal(cfg.potential, params.N, params.beta, d=cfg.d,
                            cells_per_axis=cfg.cells_per_axis,
                            tol=cfg.solver_tol)
@@ -586,7 +566,8 @@ class _StageResult(NamedTuple):
     pid: int
 
 
-def _sweep_task(cfg: ExperimentConfig, regime, stage: str) -> _StageResult:
+def _sweep_task(cfg: ExperimentConfig, params: RegimeParams,
+                stage: str) -> _StageResult:
     """One stage of one sweep row: the "ball" stage estimates the ball
     probability (p_hat, stderr, acceptance), the "rate" stage evaluates the
     rate functional (rate_value). Each needs only the row's target, so the
@@ -594,7 +575,6 @@ def _sweep_task(cfg: ExperimentConfig, regime, stage: str) -> _StageResult:
     (seed, chain index) streams, so its values do not depend on which
     process runs it.
     """
-    _, params = regime
     start = time.perf_counter()
     values, error = {}, None
     with warnings.catch_warnings(record=True) as caught:
@@ -691,13 +671,13 @@ def _run_sweep_tasks(cfg: ExperimentConfig, tasks: list,
 def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     start = time.perf_counter()
     regimes = cfg.regimes
-    tasks = [(regime, stage) for stage in SWEEP_STAGES for regime in regimes]
+    tasks = [(params, stage) for stage in SWEEP_STAGES for params in regimes]
     workers = _sweep_workers(len(regimes))
     results = _run_sweep_tasks(cfg, tasks, workers)
     rows, timings = [], []
-    for j, ((N, gamma, lam), params) in enumerate(regimes):
+    for j, params in enumerate(regimes):
         row = {"N": params.N, "gamma": params.gamma, "lambda": params.lam,
-               "regime": classify_regime(gamma, lam),
+               "regime": params.regime,
                "ball_type": cfg.ball_type,
                "epsilon": cfg.ball_epsilon, "k": cfg.ball_k,
                "p_hat": math.nan, "stderr": math.nan,
@@ -715,7 +695,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
             errors += [] if ok else [result.error]
             messages += result.messages
         row["error"] = "; ".join(errors)
-        label = f"row (N={N}, gamma={gamma}, lambda={lam})"
+        label = f"row (N={params.N}, gamma={params.gamma}, lambda={params.lam})"
         if row["error"]:
             print(f"{label} failed: {row['error']}", file=sys.stderr)
         for msg in dict.fromkeys(messages):
@@ -759,7 +739,8 @@ def regress_speeds(rows: list[dict], d: int) -> dict:
     s log N; the slope is fitted by weighted least squares with binomial
     delta-method weights n p (log p)^2 / (1 - p), n recovered from the
     reported standard error. Rows with p_hat in {0, 1} or NaN carry no
-    information about the exponent and are skipped.
+    information about the exponent and are skipped. "super" is the entropy
+    exponent 1 - lambda d, "sub" that of ``speed_sub`` (``speed_exponents``).
     """
     groups = []
     keys = sorted({(r["gamma"], r["lambda"]) for r in rows})
@@ -780,8 +761,7 @@ def regress_speeds(rows: list[dict], d: int) -> dict:
         WA = A * w[:, None]
         coef, *_ = np.linalg.lstsq(WA.T @ A, WA.T @ y, rcond=None)
         slope = float(coef[1])
-        e_super = 1.0 - lam * d
-        e_sub = 2.0 - (d + 2) * lam
+        e_super, e_sub = speed_exponents(lam, d)
         closer = "super" if abs(slope - e_super) <= abs(slope - e_sub) \
             else "sub"
         groups.append({"gamma": gamma, "lambda": lam, "exponent": slope,

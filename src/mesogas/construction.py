@@ -146,6 +146,9 @@ class ConstructionParams:
             raise ValueError("need at least one point")
         if not 0.0 < self.separation < 1.0:
             raise ValueError("separation factor must lie in (0, 1)")
+        if self.truncate_quantile is not None \
+                and not 0.0 <= self.truncate_quantile <= 1.0:
+            raise ValueError("truncate_quantile must lie in [0, 1]")
         if np.any(self.target.density < 0):
             raise ValueError("target must be a positive measure")
         if mass(self.target) <= 0:

@@ -87,12 +87,6 @@ class ExteriorDomain:
     def exterior_mask(self) -> np.ndarray:
         return ~self.interior_mask
 
-    @property
-    def interior_slice(self) -> tuple:
-        off = (self.layout.cells_per_axis - self.cells_interior) // 2
-        return tuple(slice(off, off + self.cells_interior)
-                     for _ in range(self.d))
-
     def embed(self, mu: GridMeasure) -> np.ndarray:
         """Density of a window measure placed on the full lattice."""
         if not mu.box.same_geometry(self.interior):
@@ -100,7 +94,7 @@ class ExteriorDomain:
         if mu.cells_per_axis != self.cells_interior:
             raise ValueError("measure lattice does not match the window grid")
         full = np.zeros(self.layout.density.shape)
-        full[self.interior_slice] = mu.density
+        full[self.interior_mask] = mu.density.ravel()
         return full
 
     def exterior_measure(self, density_full: np.ndarray) -> GridMeasure:

@@ -5,6 +5,8 @@ The Hamiltonian is the ordered-pair interaction plus an N-weighted potential,
     H_N(X) = sum_{i != j} g(x_i - x_j) + N sum_i V(x_i),
 
 and the Gibbs measure is (1/Z) exp(-beta H_N) with beta = N^{-gamma}.
+``RegimeParams`` alone decides the regime, against gamma* = 1 - 2 lambda
+exactly, and ``speed_exponents`` gives the decay-speed exponents.
 ``splitting_decompose`` rewrites H_N exactly around the thermal equilibrium
 measure as
 
@@ -34,7 +36,8 @@ import math
 import numbers
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,12 +51,16 @@ from .grids import AtomicMeasure, Box, GridMeasure, bl_distance
 class RegimeParams:
     """Scaling exponents of one experiment: temperature and window scale.
 
-    beta = N^{-gamma}; the critical exponent is gamma* = 1 - 2 lambda.
-    gamma > gamma* is the subcritical regime (entropy wins, speed
-    N^{2-(d+2)lambda}), gamma < gamma* the supercritical one (energy wins,
-    speed N^{1-lambda d}); ``cli.classify_regime`` places a point on that
-    line in exact rational arithmetic. Values outside the theorem's
-    hypothesis ranges are allowed for exploration but warn.
+    beta = N^{-gamma}. In a window of side N^{-lambda} the entropy cost of a
+    deviation scales as its particle count N^{1-lambda d}, the energy cost
+    as beta N^{2-(d+2)lambda} = N^{2-gamma-(d+2)lambda}; they balance on
+    gamma* = 1 - 2 lambda. ``regime`` names the term that wins: "entropy"
+    for gamma > gamma* (the hot, supercritical side), "energy" below it,
+    "critical" on it. gamma and lambda, as written (int, float, Fraction or
+    a string such as "9/10"), are compared in exact rational arithmetic,
+    then stored as floats. ``speed_super`` is the entropy speed;
+    ``speed_sub`` is N^{2-(d+2)lambda}, the energy speed without beta.
+    Values outside the theorem's hypothesis ranges are allowed but warn.
     """
 
     N: int
@@ -61,8 +68,16 @@ class RegimeParams:
     lam: float
     R: float = 1.0
     d: int = 3
+    regime: str = field(init=False)
 
     def __post_init__(self):
+        gamma, lam = Fraction(self.gamma), Fraction(self.lam)
+        star = 1 - 2 * lam
+        regime = ("entropy" if gamma > star else
+                  "energy" if gamma < star else "critical")
+        object.__setattr__(self, "gamma", float(gamma))
+        object.__setattr__(self, "lam", float(lam))
+        object.__setattr__(self, "regime", regime)
         if self.d < 3:
             raise ValueError("kernel |x|^{2-d} needs d >= 3")
         if self.N < 1:
@@ -88,15 +103,21 @@ class RegimeParams:
 
     @property
     def speed_sub(self) -> float:
-        return float(self.N) ** (2.0 - (self.d + 2) * self.lam)
+        return float(self.N) ** speed_exponents(self.lam, self.d)[1]
 
     @property
     def speed_super(self) -> float:
-        return float(self.N) ** (1.0 - self.lam * self.d)
+        return float(self.N) ** speed_exponents(self.lam, self.d)[0]
 
     @property
     def window(self) -> Box:
         return Box.cube(np.zeros(self.d), self.R)
+
+
+def speed_exponents(lam: float, d: int) -> tuple[float, float]:
+    """Exponents of the entropy speed and of ``speed_sub``, in that order;
+    a sweep's regression calls them "super" and "sub"."""
+    return 1.0 - lam * d, 2.0 - (d + 2) * lam
 
 
 def hamiltonian(X: np.ndarray, V, N: int) -> float:

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ import pytest
 
 from mesogas import cli
 from mesogas.cli import (SWEEP_COLUMNS, ConfigError, ExperimentConfig,
-                         classify_regime, load_config, main, regress_speeds)
+                         load_config, main, regress_speeds)
 
 
 def base_config():
@@ -45,26 +44,21 @@ def config_path(tmp_path):
     return path
 
 
-def test_classify_regime_exact_on_the_critical_line():
-    assert classify_regime("9/10", "1/20") == "critical"
-    assert classify_regime(Fraction(9, 10), Fraction(1, 20)) == "critical"
-    assert classify_regime(1, 0) == "critical"
-    # binary floats land just off the line, and the classifier says so
-    assert classify_regime(0.9, 0.05) != "critical"
-    assert classify_regime(0.95, 0.05) == "subcritical"
-    assert classify_regime(0.5, 0.05) == "supercritical"
-
-
 def test_config_rejects_bad_values():
     for patch in ({"d": 2},
                   {"grid": {"N": [0], "gamma": [0.3], "lambda": [0.05]}},
                   {"grid": {"N": [8], "gamma": [-1], "lambda": [0.05]}},
                   {"grid": {"N": [8], "gamma": [0.3], "lambda": [0.4]}},
+                  {"grid": {"N": [8], "gamma": [math.inf], "lambda": [0.05]}},
                   {"R": 0.0},
                   {"ball": {"type": "euclid"}},
                   {"target": {"kind": "gaussian"}},
                   {"rate": {"functional": "q"}},
-                  {"solver": {"cells_per_axis": 2}}):
+                  {"solver": {"cells_per_axis": 2}},
+                  {"construction": {**base_config()["construction"],
+                                    "truncate_quantile": 1.5}},
+                  {"construction": {**base_config()["construction"],
+                                    "truncate_quantile": "abc"}}):
         obj = base_config()
         obj.update(patch)
         with pytest.raises(ConfigError), warnings.catch_warnings():
@@ -370,7 +364,7 @@ def test_sweep_command_is_deterministic(config_path, tmp_path):
         rows = list(csv.DictReader(fh))
     assert [*rows[0].keys()] == SWEEP_COLUMNS
     assert len(rows) == 1
-    assert rows[0]["regime"] == "supercritical"
+    assert rows[0]["regime"] == "energy"
     assert 0.0 <= float(rows[0]["p_hat"]) <= 1.0
     assert 0.0 < float(rows[0]["acceptance"]) < 1.0
     assert rows[0]["error"] == ""

@@ -43,35 +43,53 @@ def test_every_import_is_used():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def _definitions_and_references(paths):
-    """The package's module-level definitions, as ("file:line", name)
-    pairs, and every name that `paths` read outside the top-level
-    definition of the same name.
+def _reference_graph(sources):
+    """The module-level functions and classes of `sources`, (file name,
+    text) pairs, as ("file:line", name) pairs; and a map from each name that
+    a top-level statement defines to every name the statement reads.
 
-    A reference is a name or an attribute read; importing a name, listing it
-    in ``__all__`` or calling it only from its own body does not count.
+    A read is a name or attribute loaded anywhere in the statement, bodies
+    of its functions and methods included; names are not qualified by
+    module. Imports read nothing, and a top-level statement that defines no
+    name, such as the ``__main__`` guard, maps from None.
     """
-    defined, used = [], set()
-    for path in paths:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for top in tree.body:
-            own = top.name if isinstance(top, DEFINITIONS) else None
-            for node in ast.walk(top):
-                name = (node.id if isinstance(node, ast.Name) else
-                        node.attr if isinstance(node, ast.Attribute) else own)
-                if name != own:
-                    used.add(name)
-            if own and path.parent == SRC and path.name != "__init__.py":
-                defined.append((f"{path.name}:{top.lineno}", own))
-    return defined, used
+    defined, reads = [], {}
+    for where, text in sources:
+        for top in ast.parse(text, filename=where).body:
+            if isinstance(top, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(top, DEFINITIONS):
+                defined.append((f"{where}:{top.lineno}", top.name))
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = (top.targets if isinstance(top, ast.Assign)
+                           else [top.target])
+                names = [node.id for target in targets
+                         for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                names = [None]
+            loaded = {node.id if isinstance(node, ast.Name) else node.attr
+                      for node in ast.walk(top)
+                      if isinstance(node, (ast.Name, ast.Attribute))
+                      and isinstance(node.ctx, ast.Load)}
+            for name in names:
+                reads.setdefault(name, set()).update(loaded)
+    return defined, reads
+
+
+def _sources(paths):
+    return [(path.name, path.read_text()) for path in paths]
 
 
 def test_every_definition_is_referenced():
     """Each module-level function and class of the package is referenced by
     name somewhere in the package or the tests, outside its own definition.
     """
-    defined, used = _definitions_and_references(
-        sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")))
+    package = _sources(sorted(SRC.glob("*.py")))
+    defined, _ = _reference_graph(package)
+    _, reads = _reference_graph(package + _sources(sorted(TESTS.glob("*.py"))))
+    used = set().union(*(names - {own} for own, names in reads.items()))
     unused = [f"{where} {name}" for where, name in defined if name not in used]
     assert not unused, "unreferenced definitions: " + ", ".join(unused)
 
@@ -85,17 +103,40 @@ def _acceptance_imports() -> set[str]:
             for alias in node.names}
 
 
+def _unreachable(sources) -> list[str]:
+    """The definitions of `sources` that no chain of reads reaches from
+    ``cli.main``, a name in ``mesogas.__all__``, a name the acceptance gate
+    imports, or a top-level statement that defines nothing."""
+    defined, reads = _reference_graph(sources)
+    reached = {None, "main", *mesogas.__all__, *_acceptance_imports()}
+    todo = list(reached)
+    while todo:
+        for name in reads.get(todo.pop(), ()):
+            if name not in reached:
+                reached.add(name)
+                todo.append(name)
+    return [f"{where} {name}" for where, name in defined
+            if name not in reached]
+
+
 def test_every_definition_serves_the_package_or_the_gate():
-    """Each module-level function and class of the package is referenced
-    from the package outside its own definition, is exported in
-    ``mesogas.__all__``, or is imported by the acceptance gate. A test
-    alone does not keep a definition alive.
+    """Each module-level function and class of the package is reachable
+    through name references from ``cli.main``, from a name in
+    ``mesogas.__all__`` or from an import of the acceptance gate. A test
+    alone does not keep a definition alive, and neither do definitions that
+    only reach each other.
     """
-    defined, used = _definitions_and_references(sorted(SRC.glob("*.py")))
-    kept = used | set(mesogas.__all__) | _acceptance_imports()
-    unused = [f"{where} {name}" for where, name in defined if name not in kept]
-    assert not unused, ("definitions that only tests reach: "
-                        + ", ".join(unused))
+    unreachable = _unreachable(_sources(sorted(SRC.glob("*.py"))))
+    assert not unreachable, ("definitions that neither the package nor the "
+                             "gate reaches: " + ", ".join(unreachable))
+
+
+def test_reachability_flags_definitions_that_only_reach_each_other():
+    planted = ("planted.py", "def _ping():\n    return _pong()\n\n\n"
+               "def _pong():\n    return _ping()\n")
+    package = _sources(sorted(SRC.glob("*.py")))
+    assert _unreachable(package + [planted]) == ["planted.py:1 _ping",
+                                                 "planted.py:5 _pong"]
 
 
 def _defaulted_parameters(tree):

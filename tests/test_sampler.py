@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,45 @@ def test_regime_params_derived_quantities():
     assert p.beta == pytest.approx(64.0 ** -0.3)
     assert p.speed_super == pytest.approx(64.0 ** 0.85)
     assert p.speed_sub == pytest.approx(64.0 ** 1.75)
+
+
+def test_regime_is_classified_exactly_on_the_critical_line():
+    assert make_params(gamma="9/10", lam="1/20").regime == "critical"
+    assert make_params(gamma=Fraction(9, 10),
+                       lam=Fraction(1, 20)).regime == "critical"
+    assert make_params(gamma=1, lam=0).regime == "critical"
+    # binary floats land just off the line, and the classification says so
+    assert make_params(gamma=0.9, lam=0.05).regime == "entropy"
+    assert make_params(gamma=0.95, lam=0.05).regime == "entropy"
+    assert make_params(gamma=0.5, lam=0.05).regime == "energy"
+
+
+@st.composite
+def _rational_lambda(draw):
+    d = draw(st.sampled_from((3, 4)))
+    lam = draw(st.fractions(min_value=0, max_value=Fraction(1, d),
+                            max_denominator=10 ** 6)
+               .filter(lambda x: 0 < x < Fraction(1, d)))
+    return d, lam
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_rational_lambda())
+def test_regime_classification_is_exact(d_lam):
+    d, lam = d_lam
+    star = 1 - 2 * lam
+    eps = Fraction(1, 10 ** 9)
+    for gamma, regime in ((star, "critical"), (star + eps, "entropy"),
+                          (star - eps, "energy")):
+        p = make_params(gamma=str(gamma), lam=str(lam), d=d)
+        assert p.regime == regime
+        assert (p.gamma, p.lam) == (float(gamma), float(lam))
+    # a binary float classifies as its exact value does
+    g, x = float(star), float(lam)
+    p = make_params(gamma=g, lam=x, d=d)
+    assert p.regime == make_params(gamma=Fraction(g), lam=Fraction(x),
+                                   d=d).regime
+    assert (p.gamma, p.lam) == (g, x)
 
 
 def test_regime_params_validation():
