@@ -39,12 +39,15 @@ work raised under ``"warnings"`` in their JSON report, and print each one
 to stderr once.
 
 Importing this module loads numpy, ``scipy.fft`` and ``scipy.special``
-(which ``scipy.fft`` loads itself). ``load_config`` adds scipy's LP stack,
-``scipy.optimize`` with ``scipy.sparse``, ``scipy.linalg`` and
-``scipy.spatial``, only for a config that asks for a BL LP; a run that
-solves none, such as an energy-ball sweep, never loads it.
+(which ``scipy.fft`` loads itself). ``load_config`` adds the LP stack of
+``grids.bl_distance``, scipy's HiGHS binding and ``cdist``, only for a
+config that asks for a BL LP; the binding's package, ``scipy.optimize``,
+brings ``scipy.sparse``, ``scipy.linalg`` and ``scipy.spatial`` with it. A
+run that solves no BL LP, such as an energy-ball sweep, never loads them.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid configuration.
+Every count of the config, and the seed from the config or ``--seed``, is
+a whole number >= 0: 8.5 is an error, not 8, and so is a negative seed.
 The configuration is read once: each (N, gamma, lambda) of the grid becomes
 a ``RegimeParams``, the window and its truncated exterior an
 ``ExteriorDomain`` and the construction section a ``ConstructionParams``,
@@ -98,6 +101,14 @@ def _as_list(x):
     return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
+def _count(value, name: str) -> int:
+    """A config count or seed: a whole number >= 0, never 8.5 read as 8."""
+    number = int(value)
+    if isinstance(value, float) and value != number or number < 0:
+        raise ConfigError(f"{name}={value!r}: expected a whole number >= 0")
+    return number
+
+
 @dataclass
 class ExperimentConfig:
     """Validated view of the single JSON configuration document.
@@ -142,7 +153,7 @@ class ExperimentConfig:
     @staticmethod
     def _parse(obj: dict) -> "ExperimentConfig":
         cfg = ExperimentConfig()
-        cfg.d = int(obj.get("d", 3))
+        cfg.d = _count(obj.get("d", 3), "d")
         if cfg.d < 3:
             raise ConfigError(f"d={cfg.d}: the kernel |x|^(2-d) needs d >= 3")
         pot = obj.get("potential", {})
@@ -155,8 +166,8 @@ class ExperimentConfig:
         axes = [_as_list(grid.get(key)) for key in ("N", "gamma", "lambda")]
         if any(axes) and not all(axes):
             raise ConfigError("grid must provide N, gamma, and lambda")
-        cfg.regimes = [RegimeParams(N=int(N), gamma=gamma, lam=lam, R=cfg.R,
-                                    d=cfg.d)
+        cfg.regimes = [RegimeParams(N=_count(N, "grid N"), gamma=gamma,
+                                    lam=lam, R=cfg.R, d=cfg.d)
                        for N, gamma, lam in itertools.product(*axes)]
         ball = obj.get("ball", {})
         cfg.ball_type = ball.get("type", "bl")
@@ -173,19 +184,21 @@ class ExperimentConfig:
         tv = target.get("value")
         cfg.target_value = None if tv is None else float(tv)
         solver = obj.get("solver", {})
-        cfg.cells_per_axis = int(solver.get("cells_per_axis", 32))
-        cfg.window_cells = int(solver.get("window_cells", 8))
+        cfg.cells_per_axis = _count(solver.get("cells_per_axis", 32),
+                                    "cells_per_axis")
+        cfg.window_cells = _count(solver.get("window_cells", 8),
+                                  "window_cells")
         cfg.solver_tol = float(solver.get("tol", 1e-9))
         if cfg.cells_per_axis < 4 or cfg.window_cells < 2:
             raise ConfigError("grids need at least a handful of cells")
         cfg.domain = ExteriorDomain.build(
             Box.cube(np.zeros(cfg.d), cfg.R), cfg.window_cells,
-            factor=int(solver.get("exterior_factor", 4)))
+            factor=_count(solver.get("exterior_factor", 4), "exterior_factor"))
         sampler = obj.get("sampler", {})
-        cfg.chains = int(sampler.get("chains", 16))
+        cfg.chains = _count(sampler.get("chains", 16), "chains")
         steps, burn_in = sampler.get("steps"), sampler.get("burn_in")
-        cfg.steps = None if steps is None else int(steps)
-        cfg.burn_in = None if burn_in is None else int(burn_in)
+        cfg.steps = None if steps is None else _count(steps, "steps")
+        cfg.burn_in = None if burn_in is None else _count(burn_in, "burn_in")
         n_steps = math.inf if cfg.steps is None else cfg.steps
         if cfg.chains < 1 or not n_steps > (cfg.burn_in or 0) >= 0:
             raise ConfigError("sampler needs chains >= 1 and "
@@ -194,16 +207,18 @@ class ExperimentConfig:
         quantile = c.get("truncate_quantile")
         box = Box.cube(np.zeros(cfg.d), float(c.get("half_width", 1.0)))
         cfg.construction = ConstructionParams(
-            target=GridMeasure.uniform(box, int(c.get("target_cells", 16)),
-                                       1.0 / box.volume),
-            N=int(c.get("N", 256)), cube_size=float(c.get("cube_size", 0.5)),
+            target=GridMeasure.uniform(
+                box, _count(c.get("target_cells", 16), "target_cells"),
+                1.0 / box.volume),
+            N=_count(c.get("N", 256), "construction N"),
+            cube_size=float(c.get("cube_size", 0.5)),
             separation=float(c.get("separation", 0.2)),
             truncate_quantile=None if quantile is None else float(quantile))
-        cfg.volume_trials = int(c.get("volume_trials", 4))
+        cfg.volume_trials = _count(c.get("volume_trials", 4), "volume_trials")
         cfg.rate_functional = obj.get("rate", {}).get("functional", "n")
         if cfg.rate_functional not in ("n", "phi", "t"):
             raise ConfigError(f"unknown rate functional {cfg.rate_functional!r}")
-        cfg.seed = int(obj.get("seed", 20240817))
+        cfg.seed = _count(obj.get("seed", 20240817), "seed")
         return cfg
 
     # -- derived objects ----------------------------------------------------
@@ -791,7 +806,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _count(args.seed, "--seed")
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

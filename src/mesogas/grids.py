@@ -21,12 +21,17 @@ The bounded-Lipschitz distance is computed exactly on the discrete support
 (union of atoms and cell centers) as a min-cost-flow linear program; callers
 pick the resolution they can afford.
 
-Importing this module loads numpy alone. The LP stack (``scipy.sparse``,
-``scipy.optimize.linprog``, ``scipy.spatial.distance.cdist``) loads on the
-first call of ``_lp_stack``: ``scipy.optimize`` brings ``scipy.linalg``,
-``scipy.spatial`` and ``scipy.constants`` with it. That import is about
-0.2 s of the 0.56 s start-up of perfbench's ``sweep_energy`` (shared 2-CPU
-VM), which a run solving no BL LP does not need.
+``bl_distance`` hands its LP straight to HiGHS's dual simplex through
+scipy's binding of the solver (see ``_lp_stack``), with no scipy wrapper
+in between; its docstring has the measured gain.
+
+Importing this module loads numpy alone. The LP stack (the HiGHS binding
+and ``scipy.spatial.distance.cdist``) loads on the first call of
+``_lp_stack``: the binding's package, ``scipy.optimize``, brings
+``scipy.sparse``, ``scipy.linalg``, ``scipy.spatial`` and
+``scipy.constants`` with it. That import is about 0.2 s of the 0.56 s
+start-up of perfbench's ``sweep_energy`` (shared 2-CPU VM), which a run
+solving no BL LP does not need.
 """
 
 from __future__ import annotations
@@ -318,16 +323,17 @@ def _site_list(m: Measure) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lp_stack():
-    """scipy's LP stack for ``bl_distance``: (sparse, linprog, cdist).
+    """The LP stack for ``bl_distance``: (HiGHS core module, cdist).
 
-    The one place it is imported. ``cli.load_config`` calls it too, for a
-    config whose run solves a BL LP, so that start-up pays for the import
-    and forked sweep helpers inherit the loaded modules.
+    The HiGHS module is scipy's own binding of the solver,
+    ``scipy.optimize._highspy._core`` (scipy >= 1.15). This is the one
+    place it is imported. ``cli.load_config`` calls it too, for a config
+    whose run solves a BL LP, so that start-up pays for the import and
+    forked sweep helpers inherit the loaded modules.
     """
-    from scipy import sparse
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core as highs
     from scipy.spatial.distance import cdist
-    return sparse, linprog, cdist
+    return highs, cdist
 
 
 def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
@@ -343,12 +349,24 @@ def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
     length >= 2 is never cheaper than two trips through ground. Source->sink
     arcs shorter than 2 and the ground columns therefore carry the optimum.
 
+    The LP goes to HiGHS's dual simplex as a column-wise ``HighsLp``, with
+    no scipy wrapper in between. ``linprog``'s wrapper looped in Python
+    over every column to fill bound marginals that nothing here reads.
+    On the 536-site LP of `mesogas construct` at N = 320 (63,317 columns;
+    shared 2-CPU Xeon VM) a call went from 288 ms through ``linprog`` to
+    182 ms here, medians of four alternating rounds of nine calls, with
+    the same objective bit for bit. perfbench's ``construct`` median
+    ``wall_s`` went from 0.280 s to 0.187 s over ten alternating pairs.
+    HiGHS's ``run`` is now about three quarters of a call; filling the
+    ``HighsLp``, whose setters copy the arrays element by element, is
+    most of the rest.
+
     HiGHS runs without presolve, which can never reduce this LP: every arc
     column has exactly two unit entries, in two distinct balance rows, every
     ground column has one unit entry, and every cost is positive. On the
-    536-site LP of `mesogas construct` at N = 320, presolve logs "Presolve
-    reductions: rows 536(-0); columns 63317(-0); nonzeros 126098(-0) - Not
-    reduced" and costs about as much as the dual simplex solve after it.
+    536-site LP above, presolve logs "Presolve reductions: rows 536(-0);
+    columns 63317(-0); nonzeros 126098(-0) - Not reduced" and costs about
+    as much as the dual simplex solve after it.
     """
     pa, wa = _site_list(a)
     pb, wb = _site_list(b)
@@ -365,20 +383,45 @@ def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
         raise ValueError(
             f"bl_distance: {n} sites exceed max_sites={max_sites}; "
             "coarsen the measures or raise the cap")
-    sparse, linprog, cdist = _lp_stack()
+    highs, cdist = _lp_stack()
     src, snk = np.flatnonzero(w > 0.0), np.flatnonzero(w < 0.0)
     dd = cdist(pts[src], pts[snk])
     i, j = np.nonzero(dd < 2.0)
     m = i.size
-    cost = np.concatenate([dd[i, j], np.ones(n)])
-    rows = np.concatenate([src[i], snk[j], np.arange(n)])
-    cols = np.concatenate([np.arange(m), np.arange(m), m + np.arange(n)])
-    A = sparse.csc_matrix((np.ones(2 * m + n), (rows, cols)), shape=(n, m + n))
-    res = linprog(cost, A_eq=A, b_eq=np.abs(w), method="highs",
-                  options={"presolve": False})
-    if not res.success:  # pragma: no cover - the ground columns keep it feasible
-        raise RuntimeError(f"bl_distance LP failed: {res.message}")
-    return float(res.fun)
+    # arc k is column k, with its two unit rows in ascending order; the
+    # ground column of site k is column m + k, with row k alone
+    index_type = np.int32 if highs.kHighsIInf == np.iinfo(np.int32).max \
+        else np.int64
+    arcs = np.sort(np.stack([src[i], snk[j]], axis=1), axis=1)
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = m + n
+    lp.num_row_ = lp.a_matrix_.num_row_ = n
+    lp.col_cost_ = np.concatenate([dd[i, j], np.ones(n)])
+    lp.col_lower_ = np.zeros(m + n)
+    lp.col_upper_ = np.full(m + n, highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = np.abs(w)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(
+        [np.arange(0, 2 * m, 2), np.arange(2 * m, 2 * m + n + 1)]
+    ).astype(index_type)
+    lp.a_matrix_.index_ = np.concatenate(
+        [arcs.ravel(), np.arange(n)]).astype(index_type)
+    lp.a_matrix_.value_ = np.ones(2 * m + n)
+    dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options = {"output_flag": False, "log_to_console": False,
+               "presolve": "off", "simplex_strategy": int(dual)}
+    solver = highs._Highs()
+    for option, value in options.items():
+        if solver.setOptionValue(option, value) != highs.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS rejected option {option}={value!r}")
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    # the ground columns keep the LP feasible and every cost is positive
+    if status != highs.HighsModelStatus.kOptimal:  # pragma: no cover
+        raise RuntimeError(
+            f"bl_distance LP failed: {solver.modelStatusToString(status)}")
+    return float(solver.getInfo().objective_function_value)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,13 @@ def test_config_rejects_bad_values():
                   {"construction": {**base_config()["construction"],
                                     "truncate_quantile": 1.5}},
                   {"construction": {**base_config()["construction"],
-                                    "truncate_quantile": "abc"}}):
+                                    "truncate_quantile": "abc"}},
+                  # counts are whole numbers: 8.5 is not read as 8
+                  {"grid": {"N": [8.5], "gamma": [0.3], "lambda": [0.05]}},
+                  {"sampler": {"chains": 2, "steps": 200, "burn_in": 100.7}},
+                  {"construction": {**base_config()["construction"],
+                                    "volume_trials": -1}},
+                  {"seed": -1}):
         obj = base_config()
         obj.update(patch)
         with pytest.raises(ConfigError), warnings.catch_warnings():
@@ -102,6 +108,21 @@ def test_main_returns_2_on_config_problems(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"d": 2}))
     assert main(["verify", "--config", str(bad)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2_from_the_config_or_the_command_line(
+        tmp_path, capsys):
+    obj = base_config()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", "--config", str(path), "--seed", "-3",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    obj["seed"] = -3
+    path.write_text(json.dumps(obj))
+    assert main(["verify", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
 
 

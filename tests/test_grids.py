@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist, pdist
 
+from mesogas.construction import ConstructionParams, construct
 from mesogas.grids import (AtomicMeasure, Box, GridMeasure, bl_distance,
                            box_mass, dilate, entropy, mass, measure_to_json,
                            relative_entropy, resample)
@@ -227,9 +228,10 @@ def test_bl_distance_matches_the_inequality_lp(name):
             assert want == pytest.approx(mass(a) + mass(b), rel=1e-12)
 
 
-def _transport_with_presolve(a, b):
-    """The transport LP that bl_distance solves, built here and solved with
-    HiGHS presolve on."""
+def _transport_lp(a, b, presolve):
+    """The transport LP that bl_distance solves, built and solved as it was
+    before bl_distance called HiGHS directly: a ``scipy.sparse`` matrix
+    handed to ``linprog``."""
     pa, wa = _sites(a)
     pb, wb = _sites(b)
     pts, site = np.unique(np.vstack([pa, pb]), axis=0, return_inverse=True)
@@ -249,7 +251,8 @@ def _transport_with_presolve(a, b):
                                               m + np.arange(n)]))),
         shape=(n, m + n))
     res = linprog(np.concatenate([dd[i, j], np.ones(n)]), A_eq=A,
-                  b_eq=np.abs(w), method="highs", options={"presolve": True})
+                  b_eq=np.abs(w), method="highs",
+                  options={"presolve": presolve})
     assert res.success
     return float(res.fun)
 
@@ -262,7 +265,7 @@ def test_bl_distance_matches_the_presolved_transport_lp(name):
     for _ in range(20):
         a, b = _family(name, rng)
         assert bl_distance(a, b) == pytest.approx(
-            _transport_with_presolve(a, b), rel=1e-12, abs=0.0)
+            _transport_lp(a, b, presolve=True), rel=1e-12, abs=0.0)
 
 
 @st.composite
@@ -286,8 +289,60 @@ def test_bl_distance_property(pair):
     assert got == pytest.approx(_bl_oracle(a, b), rel=1e-9, abs=1e-12)
     assert got == pytest.approx(bl_distance(b, a), rel=1e-9, abs=1e-12)
     assert got <= mass(a) + mass(b) + 1e-9
-    assert got == pytest.approx(_transport_with_presolve(a, b), rel=1e-12,
-                                abs=0.0)
+    assert got == pytest.approx(_transport_lp(a, b, presolve=True),
+                                rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _measure_pair(draw):
+    """Atoms on a coarse lattice against atoms, a grid, a copy of
+    themselves (no site left) or nothing (a one-sided difference, a single
+    site when there is one atom)."""
+    def atoms(low):
+        n = draw(st.integers(low, 12))
+        pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3),
+                            min_size=n, max_size=n))
+        return AtomicMeasure(0.5 * np.asarray(pts, float).reshape(n, 3),
+                             draw(st.floats(0.01, 2.0)))
+    a = atoms(1)
+    other = draw(st.sampled_from(["atoms", "grid", "same", "none"]))
+    if other == "atoms":
+        return a, atoms(1)
+    if other == "grid":
+        # cell centers -2/3, 0, 2/3 per axis; the one at 0 meets an atom
+        rho = draw(st.lists(st.floats(0.0, 1.0), min_size=27, max_size=27))
+        return a, GridMeasure(Box.cube(np.zeros(3), 1.0), 3, rho)
+    if other == "same":
+        return a, AtomicMeasure(a.points.copy(), a.weight)
+    return a, AtomicMeasure(np.zeros((0, 3)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_measure_pair())
+@example((AtomicMeasure([[0.5, 0.0, 0.0]], 0.4),
+          AtomicMeasure(np.zeros((0, 3)))))
+def test_bl_distance_equals_the_linprog_transport_lp(pair):
+    """Handing the transport LP to HiGHS directly gives the objective that
+    ``linprog`` gave for the same LP, bit for bit."""
+    a, b = pair
+    assert bl_distance(a, b) == _transport_lp(a, b, presolve=False)
+    assert bl_distance(a, a) == 0.0
+
+
+def test_bl_distance_equals_the_linprog_transport_lp_of_construct():
+    """The same on the 536-site LP of ``mesogas construct`` at N = 320 and
+    seed 0, the LP that the benchmark's construct workload solves."""
+    box = Box.cube(np.zeros(3), 1.0)
+    params = ConstructionParams(
+        target=GridMeasure.uniform(box, 6, 1.0 / box.volume), N=320,
+        cube_size=0.25, separation=0.2)
+    report = construct(params, seed=0)
+    target = params.target
+    pts = np.vstack([report.configuration.points, target.cell_centers()])
+    assert np.unique(pts, axis=0).shape[0] == 536
+    want = _transport_lp(report.configuration, target, presolve=False)
+    assert bl_distance(report.configuration, target) == want
+    assert report.bl_to_target == want
 
 
 def test_measure_to_json_fields():

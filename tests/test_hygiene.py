@@ -244,11 +244,88 @@ def test_lp_stack_loads_only_for_a_config_that_solves_a_bl_lp(tmp_path):
         if loaded:
             sys.exit(f"the energy config loaded {loaded}")
         cli.load_config(sys.argv[2])
-        if "scipy.optimize" not in sys.modules:
-            sys.exit("the BL config left scipy.optimize unloaded")
+        if "scipy.optimize._highspy._core" not in sys.modules:
+            sys.exit("the BL config left scipy's HiGHS binding unloaded")
         """)
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", script, *map(str, paths)],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _references(tree):
+    """(top-level definition or None, dotted name) for every import, name
+    and attribute chain of a module's code; docstrings do not count."""
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return node.attr if base is None else f"{base}.{node.attr}"
+        return None
+    for top in tree.body:
+        owner = top.name if isinstance(top, DEFINITIONS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield owner, alias.name
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    yield owner, f"{node.module}.{alias.name}"
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                yield owner, dotted(node)
+
+
+def test_the_lp_stack_is_scipys_highs_binding_alone():
+    """``bl_distance`` hands its LP to HiGHS directly: scipy's private
+    binding, ``scipy.optimize._highspy``, is named in ``grids._lp_stack``
+    alone, and no code in the package names ``linprog`` or
+    ``scipy.sparse``, so no second path to the solver survives."""
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, name in _references(tree):
+            parts = name.split(".")
+            where = f"{path.name}:{owner or '<module>'}: {name}"
+            if "_highspy" in parts and (path.name, owner) != ("grids.py",
+                                                               "_lp_stack"):
+                stray.append(where)
+            if "linprog" in parts or ".".join(parts[:2]) == "scipy.sparse":
+                stray.append(where)
+    assert not stray, "LP stack named outside grids._lp_stack: " + \
+        ", ".join(stray)
+
+
+def test_scipys_highs_binding_has_what_bl_distance_uses():
+    """``scipy.optimize._highspy._core`` is private to scipy; if an upgrade
+    moves what ``bl_distance`` reads from it, this names what is gone."""
+    from mesogas.grids import _lp_stack
+    highs, _ = _lp_stack()
+    used = ["HighsLp", "HighsInfo.objective_function_value",
+            "HighsModelStatus.kOptimal", "HighsStatus.kOk",
+            "MatrixFormat.kColwise", "kHighsInf", "kHighsIInf",
+            "simplex_constants.SimplexStrategy.kSimplexStrategyDual",
+            *(f"_Highs.{m}" for m in ("setOptionValue", "passModel", "run",
+                                      "getModelStatus", "modelStatusToString",
+                                      "getInfo"))]
+    lp = highs.HighsLp()
+    fields = [*(f"HighsLp.{f}" for f in (
+                  "num_col_", "num_row_", "col_cost_", "col_lower_",
+                  "col_upper_", "row_lower_", "row_upper_", "a_matrix_")),
+              *(f"HighsLp.a_matrix_.{f}" for f in (
+                  "format_", "num_col_", "num_row_", "start_", "index_",
+                  "value_"))]
+
+    def resolves(root, dotted):
+        for part in dotted.split("."):
+            if not hasattr(root, part):
+                return False
+            root = getattr(root, part)
+        return True
+    missing = [name for name in used if not resolves(highs, name)]
+    missing += [name for name in fields
+                if not resolves(lp, name.split(".", 1)[1])]
+    assert not missing, (
+        "scipy.optimize._highspy._core lacks what bl_distance uses: "
+        + ", ".join(missing))
