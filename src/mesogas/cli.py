@@ -46,20 +46,20 @@ brings ``scipy.sparse``, ``scipy.linalg`` and ``scipy.spatial`` with it. A
 run that solves no BL LP, such as an energy-ball sweep, never loads them.
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid configuration.
-Every count of the config, and the seed from the config or ``--seed``, is
-a whole number >= 0: 8.5 is an error, not 8, and so is a negative seed.
-The configuration is read once: each (N, gamma, lambda) of the grid becomes
-a ``RegimeParams``, the window and its truncated exterior an
-``ExteriorDomain`` and the construction section a ``ConstructionParams``,
-so their own validity rules decide what is a configuration error and their
-warnings flag values outside the hypothesis ranges of the scaling theory.
-A sweep row's ``regime`` is the one its ``RegimeParams`` decided.
+``CONFIG_KEYS`` lists every config key with its reader, its default (a null
+takes it too) and its rule; ``--seed`` passes the seed's. Any other key is
+a configuration error that names it. ``RegimeParams`` (one per (N, gamma,
+lambda) of the grid), ``ExteriorDomain`` and ``ConstructionParams`` apply
+their own rules as the config is read, and warn on values outside the
+hypothesis ranges of the scaling theory; a sweep row's ``regime`` is the
+one its ``RegimeParams`` decided.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import itertools
 import json
 import math
@@ -67,7 +67,6 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -77,7 +76,7 @@ from .construction import ConstructionParams, construct
 from .equilibrium import Potential, solve_equilibrium, solve_thermal
 from .grids import (AtomicMeasure, Box, GridMeasure, _lp_stack, bl_distance,
                     mass)
-from .rates import ExteriorDomain, n_rate, phi_rate, t_rate
+from .rates import ExteriorDomain, RateReport, n_rate, phi_rate, t_rate
 from .sampler import (RegimeParams, ball_scores, binomial_estimate,
                       chain_to_jsonl, gibbs_sample, local_empirical_field,
                       speed_exponents)
@@ -95,55 +94,86 @@ class ConfigError(ValueError):
 # configuration
 # ---------------------------------------------------------------------------
 
-def _as_list(x):
-    if x is None:
-        return []
-    return list(x) if isinstance(x, (list, tuple)) else [x]
-
-
-def _count(value, name: str) -> int:
-    """A config count or seed: a whole number >= 0, never 8.5 read as 8."""
+def _count(value) -> int:
+    """A whole number >= 0: 8.5 is not read as 8, nor true as 1."""
     number = int(value)
-    if isinstance(value, float) and value != number or number < 0:
-        raise ConfigError(f"{name}={value!r}: expected a whole number >= 0")
+    if (isinstance(value, bool) or number < 0
+            or isinstance(value, float) and value != number):
+        raise ConfigError("expected a whole number >= 0")
     return number
 
 
-@dataclass
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError("expected a list")
+    return value
+
+
+# Every key a config may hold: (section, key), section None at the top level,
+# maps to the ExperimentConfig attribute it sets, how its JSON value is read,
+# the default an absent key or a null takes, and the rule a given value must
+# pass ("> bound", a tuple of choices, or None). Any other key is an error.
+CONFIG_KEYS = {
+    (None, "why"): ("why", str, "", None),  # a free-text note
+    (None, "d"): ("d", _count, 3, "> 2"),  # the kernel |x|^(2-d)
+    (None, "R"): ("R", float, 1.0, "> 0"),
+    (None, "seed"): ("seed", _count, 20240817, None),
+    ("potential", "kind"): ("potential_kind", str, "quadratic", None),
+    ("potential", "coef"): ("potential_coef", float, 1.0, "> 0"),
+    ("grid", "N"): ("grid_N", lambda v: [*map(_count, _list(v))], (), None),
+    ("grid", "gamma"): ("grid_gamma", _list, (), None),
+    ("grid", "lambda"): ("grid_lambda", _list, (), None),
+    ("ball", "type"): ("ball_type", str, "bl", ("bl", "energy")),
+    ("ball", "epsilon"): ("ball_epsilon", float, 0.5, "> 0"),
+    ("ball", "k"): ("ball_k", float, 1.0, None),
+    ("target", "kind"): ("target_kind", str, "uniform", ("uniform", "ball")),
+    ("target", "value"): ("target_value", float, None, None),
+    ("solver", "cells_per_axis"): ("cells_per_axis", _count, 32, "> 3"),
+    ("solver", "window_cells"): ("window_cells", _count, 8, "> 1"),
+    ("solver", "exterior_factor"): ("exterior_factor", _count, 4, None),
+    ("solver", "tol"): ("solver_tol", float, 1e-9, "> 0"),
+    ("sampler", "chains"): ("chains", _count, 16, "> 0"),
+    ("sampler", "steps"): ("steps", _count, None, "> 0"),
+    ("sampler", "burn_in"): ("burn_in", _count, None, None),
+    ("construction", "half_width"): ("half_width", float, 1.0, "> 0"),
+    ("construction", "target_cells"): ("target_cells", _count, 16, "> 0"),
+    ("construction", "N"): ("construction_N", _count, 256, None),
+    ("construction", "cube_size"): ("cube_size", float, 0.5, "> 0"),
+    ("construction", "separation"): ("separation", float, 0.2, None),
+    ("construction", "truncate_quantile"): ("truncate_quantile", float, None,
+                                            None),
+    ("construction", "volume_trials"): ("volume_trials", _count, 4, None),
+    ("rate", "functional"): ("rate_functional", str, "n", ("n", "phi", "t")),
+}
+
+
+def _value(section: str | None, key: str, given):
+    """The value of table key (section, key) whose JSON value is `given`.
+    No key takes true or false, and no number is NaN or infinite."""
+    _, read, default, rule = CONFIG_KEYS[section, key]
+    if given is None:
+        return default
+    try:
+        value = read(given)
+        if isinstance(given, bool) or isinstance(value, float) \
+                and not math.isfinite(value):
+            raise ConfigError("expected a finite number or a string")
+        if isinstance(rule, tuple) and value not in rule:
+            raise ConfigError(f"must be one of {', '.join(rule)}")
+        if isinstance(rule, str) and not value > float(rule.split()[1]):
+            raise ConfigError(f"must be {rule}")
+    except (ValueError, TypeError, OverflowError) as exc:  # ConfigError too
+        where = key if section is None else f"{section}.{key}"
+        raise ConfigError(f"{where}={given!r}: {exc}") from exc
+    return value
+
+
 class ExperimentConfig:
-    """Validated view of the single JSON configuration document.
-
-    ``regimes`` is the (N, gamma, lambda) product of the grid, one
-    ``RegimeParams`` each, classified from gamma and lambda as written (so
-    "9/10" stays exact); it is empty when the config has no grid.
-    ``domain`` is the window cube of half-width R (``domain.interior``)
-    with its truncated exterior, built from ``solver.window_cells`` and
-    ``solver.exterior_factor``.
-    """
-
-    d: int = 3
-    potential: Potential = field(default_factory=Potential)
-    regimes: list[RegimeParams] = field(default_factory=list)
-    R: float = 1.0
-    ball_type: str = "bl"
-    ball_epsilon: float = 0.5
-    ball_k: float = 1.0
-    target_kind: str = "uniform"
-    target_value: float | None = None
-    cells_per_axis: int = 32
-    window_cells: int = 8
-    domain: ExteriorDomain | None = None
-    solver_tol: float = 1e-9
-    chains: int = 16
-    steps: int | None = None
-    burn_in: int | None = None
-    construction: ConstructionParams | None = None
-    volume_trials: int = 4
-    rate_functional: str = "n"
-    seed: int = 20240817
+    """Each key of ``CONFIG_KEYS`` sets the attribute it names; from them
+    come ``potential``, ``regimes``, ``domain`` and ``construction``."""
 
     @staticmethod
-    def from_json(obj: dict) -> "ExperimentConfig":
+    def from_json(obj) -> "ExperimentConfig":
         """Parse and validate; every rejected value raises ConfigError."""
         try:
             return ExperimentConfig._parse(obj)
@@ -151,74 +181,44 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     @staticmethod
-    def _parse(obj: dict) -> "ExperimentConfig":
+    def _parse(obj) -> "ExperimentConfig":
+        sections = [*dict.fromkeys(s for s, _ in CONFIG_KEYS if s)]
+        given = {}
+        for section in (None, *sections):
+            keys = obj if section is None else given[None].get(section)
+            keys = {} if keys is None else keys
+            where = f"section {section!r}" if section else "the top level"
+            if not isinstance(keys, dict):
+                raise ConfigError(f"{where} must be an object, not {keys!r}")
+            known = [k for s, k in CONFIG_KEYS if s == section]
+            known += [] if section else sections
+            for key in sorted(keys.keys() - known):
+                near = difflib.get_close_matches(key, known, n=1)
+                raise ConfigError(f"unknown key {key!r} in {where}" + (
+                    f"; did you mean {near[0]!r}?" if near else ""))
+            given[section] = keys
         cfg = ExperimentConfig()
-        cfg.d = _count(obj.get("d", 3), "d")
-        if cfg.d < 3:
-            raise ConfigError(f"d={cfg.d}: the kernel |x|^(2-d) needs d >= 3")
-        pot = obj.get("potential", {})
-        cfg.potential = Potential(kind=pot.get("kind", "quadratic"),
-                                  coef=float(pot.get("coef", 1.0)))
-        cfg.R = float(obj.get("R", 1.0))
-        if cfg.R <= 0:
-            raise ConfigError("window half-width R must be positive")
-        grid = obj.get("grid", {})
-        axes = [_as_list(grid.get(key)) for key in ("N", "gamma", "lambda")]
+        for (section, key), (attr, *_) in CONFIG_KEYS.items():
+            setattr(cfg, attr, _value(section, key, given[section].get(key)))
+        cfg.potential = Potential(kind=cfg.potential_kind,
+                                  coef=cfg.potential_coef)
+        axes = (cfg.grid_N, cfg.grid_gamma, cfg.grid_lambda)
         if any(axes) and not all(axes):
             raise ConfigError("grid must provide N, gamma, and lambda")
-        cfg.regimes = [RegimeParams(N=_count(N, "grid N"), gamma=gamma,
-                                    lam=lam, R=cfg.R, d=cfg.d)
-                       for N, gamma, lam in itertools.product(*axes)]
-        ball = obj.get("ball", {})
-        cfg.ball_type = ball.get("type", "bl")
-        if cfg.ball_type not in ("bl", "energy"):
-            raise ConfigError(f"unknown ball type {cfg.ball_type!r}")
-        cfg.ball_epsilon = float(ball.get("epsilon", 0.5))
-        cfg.ball_k = float(ball.get("k", 1.0))
-        if cfg.ball_epsilon <= 0:
-            raise ConfigError("ball radius epsilon must be positive")
-        target = obj.get("target", {})
-        cfg.target_kind = target.get("kind", "uniform")
-        if cfg.target_kind not in ("uniform", "ball"):
-            raise ConfigError(f"unknown target kind {cfg.target_kind!r}")
-        tv = target.get("value")
-        cfg.target_value = None if tv is None else float(tv)
-        solver = obj.get("solver", {})
-        cfg.cells_per_axis = _count(solver.get("cells_per_axis", 32),
-                                    "cells_per_axis")
-        cfg.window_cells = _count(solver.get("window_cells", 8),
-                                  "window_cells")
-        cfg.solver_tol = float(solver.get("tol", 1e-9))
-        if cfg.cells_per_axis < 4 or cfg.window_cells < 2:
-            raise ConfigError("grids need at least a handful of cells")
+        cfg.regimes = [RegimeParams(N=N, gamma=g, lam=lam, R=cfg.R, d=cfg.d)
+                       for N, g, lam in itertools.product(*axes)]
         cfg.domain = ExteriorDomain.build(
             Box.cube(np.zeros(cfg.d), cfg.R), cfg.window_cells,
-            factor=_count(solver.get("exterior_factor", 4), "exterior_factor"))
-        sampler = obj.get("sampler", {})
-        cfg.chains = _count(sampler.get("chains", 16), "chains")
-        steps, burn_in = sampler.get("steps"), sampler.get("burn_in")
-        cfg.steps = None if steps is None else _count(steps, "steps")
-        cfg.burn_in = None if burn_in is None else _count(burn_in, "burn_in")
-        n_steps = math.inf if cfg.steps is None else cfg.steps
-        if cfg.chains < 1 or not n_steps > (cfg.burn_in or 0) >= 0:
-            raise ConfigError("sampler needs chains >= 1 and "
-                              "steps > burn_in >= 0")
-        c = obj.get("construction", {})
-        quantile = c.get("truncate_quantile")
-        box = Box.cube(np.zeros(cfg.d), float(c.get("half_width", 1.0)))
+            factor=cfg.exterior_factor)
+        if not (cfg.steps or math.inf) > (cfg.burn_in or 0):
+            raise ConfigError("sampler needs steps > burn_in")
+        box = Box.cube(np.zeros(cfg.d), cfg.half_width)
         cfg.construction = ConstructionParams(
-            target=GridMeasure.uniform(
-                box, _count(c.get("target_cells", 16), "target_cells"),
-                1.0 / box.volume),
-            N=_count(c.get("N", 256), "construction N"),
-            cube_size=float(c.get("cube_size", 0.5)),
-            separation=float(c.get("separation", 0.2)),
-            truncate_quantile=None if quantile is None else float(quantile))
-        cfg.volume_trials = _count(c.get("volume_trials", 4), "volume_trials")
-        cfg.rate_functional = obj.get("rate", {}).get("functional", "n")
-        if cfg.rate_functional not in ("n", "phi", "t"):
-            raise ConfigError(f"unknown rate functional {cfg.rate_functional!r}")
-        cfg.seed = _count(obj.get("seed", 20240817), "seed")
+            target=GridMeasure.uniform(box, cfg.target_cells,
+                                       1.0 / box.volume),
+            N=cfg.construction_N, cube_size=cfg.cube_size,
+            separation=cfg.separation,
+            truncate_quantile=cfg.truncate_quantile)
         return cfg
 
     # -- derived objects ----------------------------------------------------
@@ -506,36 +506,32 @@ def run_equilibrium(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _rate_for(cfg: ExperimentConfig, params: RegimeParams, mu: GridMeasure):
+def _rate_for(cfg: ExperimentConfig, params: RegimeParams,
+              mu: GridMeasure) -> RateReport:
     alpha = cfg.mu_v_density()
     if cfg.rate_functional == "n":
-        return n_rate(mu, alpha), None
+        return RateReport(functional="N", value=n_rate(mu, alpha),
+                          minimizer=None, iterations=0, kkt_residual=0.0,
+                          mass_error=0.0)
     if cfg.rate_functional == "phi":
-        rep = phi_rate(mu, alpha, cfg.domain, tol=1e-8)
-        return rep.value, rep
+        return phi_rate(mu, alpha, cfg.domain, tol=1e-8)
     thermal = solve_thermal(cfg.potential, params.N, params.beta, d=cfg.d,
                             cells_per_axis=cfg.cells_per_axis,
                             tol=cfg.solver_tol)
-    rep = t_rate(mu, params, thermal, cfg.domain, tol=1e-7)
-    return rep.value, rep
+    return t_rate(mu, params, thermal, cfg.domain, tol=1e-7)
 
 
 def run_rate(cfg: ExperimentConfig, out_dir: Path) -> int:
     params = _first_regime(cfg)
     mu = cfg.target_measure(params.N, params.lam)
     try:
-        (value, rep), messages = _recording_warnings(
+        rep, messages = _recording_warnings(
             lambda: _rate_for(cfg, params, mu))
     except ValueError as exc:  # e.g. a T target the thermal gas cannot reach
         raise ConfigError(f"infeasible rate target: {exc}") from exc
-    payload = rep.to_json() if rep is not None else {
-        "functional": "N", "value": value, "minimizer": None,
-        "iterations": 0, "kkt_residual": 0.0, "mass_error": 0.0}
-    payload["warnings"] = messages
-    name = {"n": "N", "phi": "Phi", "t": "T"}[cfg.rate_functional]
-    (out_dir / f"rate_{cfg.rate_functional}.json").write_text(
-        json.dumps(payload, sort_keys=True) + "\n")
-    print(f"{name} rate at the configured target: {value:.6f}")
+    (out_dir / f"rate_{cfg.rate_functional}.json").write_text(json.dumps(
+        {**rep.to_json(), "warnings": messages}, sort_keys=True) + "\n")
+    print(f"{rep.functional} rate at the configured target: {rep.value:.6f}")
     return 0
 
 
@@ -600,7 +596,7 @@ def _sweep_task(cfg: ExperimentConfig, params: RegimeParams,
                 values = dict(zip(("p_hat", "stderr", "acceptance"),
                                   _ball_estimate(cfg, params, mu)))
             else:
-                values = {"rate_value": _rate_for(cfg, params, mu)[0]}
+                values = {"rate_value": _rate_for(cfg, params, mu).value}
         except Exception as exc:  # keep sweeping; the row records NaN
             error = str(exc) or type(exc).__name__
     return _StageResult(values, error, _messages(caught), start,
@@ -806,7 +802,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = _count(args.seed, "--seed")
+            cfg.seed = _value(None, "seed", args.seed)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

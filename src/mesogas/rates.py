@@ -128,6 +128,7 @@ class RateReport:
             "iterations": self.iterations,
             "minimizer": (None if self.minimizer is None
                           else measure_to_json(self.minimizer)),
+            **self.extras,
         }
 
 

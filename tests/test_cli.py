@@ -72,6 +72,85 @@ def test_config_rejects_bad_values():
             ExperimentConfig.from_json(obj)
 
 
+MISSPELLED = [("sampler", "chians"), (None, "seeed"),
+              ("solver", "exterior_facter"), ("grid", "lam")] + [
+    (section, "typo") for section in dict.fromkeys(
+        section for section, _ in cli.CONFIG_KEYS)]
+
+
+@pytest.mark.parametrize("section, key", MISSPELLED)
+def test_an_unknown_key_exits_2_and_is_named(tmp_path, capsys, section, key):
+    """A key the table does not know, in any section or at the top level,
+    is a configuration error that names it, not a key dropped in silence
+    (the run would take the default it meant to set)."""
+    obj = base_config()
+    (obj if section is None else obj.setdefault(section, {}))[key] = 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    assert main(["sample", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(key) in err
+    assert "Traceback" not in err
+    assert (f"section {section!r}" if section else "the top level") in err
+
+
+@pytest.mark.parametrize("patch", [
+    {"ball": {"epsilon": math.nan}}, {"ball": {"epsilon": math.inf}},
+    {"solver": {"tol": math.nan}}, {"solver": {"tol": -math.inf}},
+    {"sampler": {"chains": True, "steps": 200}},
+    {"grid": {"N": [True], "gamma": [0.3], "lambda": [0.05]}}, {"ball": 3},
+    {"grid": {"N": 8, "gamma": [0.3], "lambda": [0.05]}}, [base_config()]],
+    ids=["epsilon-nan", "epsilon-inf", "tol-nan", "tol-minus-inf",
+         "chains-true", "grid-N-true", "section-not-an-object",
+         "grid-axis-not-a-list", "top-level-array"])
+def test_bad_values_exit_2_without_a_traceback(tmp_path, capsys, patch):
+    """A NaN or infinite number, true as a count, a section that is not an
+    object, a grid axis that is not a list and a top-level array are each a
+    configuration error at load, not a run or a traceback."""
+    obj = patch if isinstance(patch, list) else {**base_config(), **patch}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))    # NaN and Infinity as Python writes
+    assert main(["sample", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+
+
+def test_an_explicit_null_takes_the_default():
+    """Every key of the table set to null reads as the key left out."""
+    obj = {}
+    for section, key in cli.CONFIG_KEYS:
+        (obj if section is None else obj.setdefault(section, {}))[key] = None
+    nulls = ExperimentConfig.from_json(obj)
+    for (section, key), (attr, _, default, _) in cli.CONFIG_KEYS.items():
+        assert getattr(nulls, attr) == default, (section, key)
+    assert ExperimentConfig.from_json({"target": {"value": None}}) \
+        .target_measure().density.max() == pytest.approx(3 / (4 * math.pi))
+
+
+ROOT = Path(__file__).parents[1]
+
+
+@pytest.mark.parametrize("name", [
+    *(f"perfbench/workloads/{path.name}"
+      for path in sorted((ROOT / "perfbench" / "workloads").glob("*.json"))),
+    "README.md"])
+def test_every_committed_config_loads(tmp_path, name):
+    """The benchmark workloads, each with its free-text "why", and the
+    README's example config, cut from the README, all load."""
+    text = (ROOT / name).read_text()
+    if name == "README.md":
+        text = text.split("A config looks like:\n\n```json\n")[1]
+        text = text.split("```")[0]
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # gamma = 0.3 is exploratory
+        cfg = load_config(str(path))
+    assert cfg.seed == json.loads(text)["seed"]
+
+
 def test_uniform_target_defaults_to_equilibrium_density():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -164,6 +243,13 @@ def test_rate_command_runs_phi_and_t(tmp_path, functional, name):
     assert payload["functional"] == name
     assert math.isfinite(payload["value"]) and payload["value"] > 0.0
     assert payload["minimizer"]["density"]
+    # the report's extras: T's energy/entropy split, Phi's screening mass
+    extras = {"phi": ["screening_mass"],
+              "t": ["energy_term", "entropy_term", "t_script", "mu_v0"]}
+    assert all(math.isfinite(payload[key]) for key in extras[functional])
+    if functional == "t":
+        assert payload["energy_term"] + payload["entropy_term"] == \
+            pytest.approx(payload["value"], rel=1e-12)
 
 
 def test_infeasible_t_target_exits_2(tmp_path, capsys):
