@@ -34,16 +34,21 @@ pid and seconds of each stage (``ball_pid``, ``ball_s``, ``rate_pid``,
 ``rate_s``; null for a stage that failed), and under ``tasks``, in start
 order, each task's row index, stage, pid, start offset and seconds.
 
-``verify``, ``rate`` and ``construct`` record every distinct warning their
-work raised under ``"warnings"`` in their JSON report, and print each one
-to stderr once.
+``verify``, ``sample``, ``equilibrium``, ``rate`` and ``construct`` record
+every distinct warning their work raised under ``"warnings"`` in their JSON
+report (``equilibrium`` in ``equilibrium.json`` and ``thermal.json``), and
+print each one to stderr once. ``sample``, ``rate`` and the thermal solve
+list first the hypothesis-range warnings of their regime, which the config
+load printed.
 
-Importing this module loads numpy, ``scipy.fft`` and ``scipy.special``
-(which ``scipy.fft`` loads itself). ``load_config`` adds the LP stack of
-``grids.bl_distance``, scipy's HiGHS binding and ``cdist``, only for a
-config that asks for a BL LP; the binding's package, ``scipy.optimize``,
-brings ``scipy.sparse``, ``scipy.linalg`` and ``scipy.spatial`` with it. A
-run that solves no BL LP, such as an energy-ball sweep, never loads them.
+Importing this module loads numpy and scipy's compiled pocketfft binding,
+without running ``scipy.fft``'s package imports
+(``kernels._scipy_extension``). ``load_config`` adds the LP stack of
+``grids.bl_distance``, scipy's HiGHS binding and compiled ``cdist`` kernel,
+loaded the same way, only for a config that asks for a BL LP.
+``scipy.integrate.quad`` and ``scipy.optimize.nnls`` are imported where
+they are called (``coulomb.sphere_average``,
+``construction.fit_potential_bound``).
 
 Exit codes: 0 success, 1 invariant failure, 2 invalid configuration.
 ``CONFIG_KEYS`` lists every config key with its reader, its default (a null
@@ -210,8 +215,13 @@ class ExperimentConfig:
         cfg.domain = ExteriorDomain.build(
             Box.cube(np.zeros(cfg.d), cfg.R), cfg.window_cells,
             factor=cfg.exterior_factor)
-        if not (cfg.steps or math.inf) > (cfg.burn_in or 0):
-            raise ConfigError("sampler needs steps > burn_in")
+        burn = cfg.burn_in or 0
+        runs = [cfg.steps or math.inf,
+                *(cfg.steps_at(params.N) for params in cfg.regimes)]
+        if not min(runs) > burn:
+            raise ConfigError(
+                f"sampler needs steps > burn_in, but burn_in={burn} and a "
+                f"chain takes {min(runs)} steps (by default 200 N)")
         box = Box.cube(np.zeros(cfg.d), cfg.half_width)
         cfg.construction = ConstructionParams(
             target=GridMeasure.uniform(box, cfg.target_cells,
@@ -222,6 +232,10 @@ class ExperimentConfig:
         return cfg
 
     # -- derived objects ----------------------------------------------------
+
+    def steps_at(self, N: int) -> int:
+        """Proposals per chain at N: ``steps``, by default 200 N."""
+        return self.steps or 200 * N
 
     def mu_v_density(self) -> float:
         """Density of the quadratic-potential equilibrium measure at 0."""
@@ -429,6 +443,13 @@ def _recording_warnings(work):
                 print(f"warning: {msg}", file=sys.stderr)
 
 
+def _regime_run(params: RegimeParams, work):
+    """`_recording_warnings(work)`, its texts preceded by the hypothesis
+    warnings that `params` raised as the config was read (printed then)."""
+    result, messages = _recording_warnings(work)
+    return result, [*dict.fromkeys(params.hypothesis_warnings + messages)]
+
+
 def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     checks, messages = _recording_warnings(lambda: _verify_checks(cfg))
     passed = all(c["passed"] for c in checks)
@@ -460,7 +481,7 @@ def _run_chains(cfg: ExperimentConfig, params: RegimeParams):
     Returns the proposals per chain and the burn-in (by default 200 N and
     half of it) with one snapshot list per chain.
     """
-    steps = cfg.steps or 200 * params.N
+    steps = cfg.steps_at(params.N)
     burn = cfg.burn_in if cfg.burn_in is not None else steps // 2
     return steps, burn, gibbs_sample(params, cfg.potential, steps, burn,
                                      cfg.seed, chain_index=range(cfg.chains))
@@ -468,7 +489,8 @@ def _run_chains(cfg: ExperimentConfig, params: RegimeParams):
 
 def run_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
     params = _first_regime(cfg)
-    steps, burn, runs = _run_chains(cfg, params)
+    (steps, burn, runs), messages = _regime_run(
+        params, lambda: _run_chains(cfg, params))
     summary = []
     for c, states in enumerate(runs):
         path = out_dir / f"chain_{c:03d}.jsonl"
@@ -479,7 +501,8 @@ def run_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
     (out_dir / "sample_summary.json").write_text(
         json.dumps({"params": {"N": params.N, "gamma": params.gamma,
                                "lambda": params.lam, "beta": params.beta},
-                    "steps": steps, "burn_in": burn, "chains": summary},
+                    "steps": steps, "burn_in": burn, "chains": summary,
+                    "warnings": messages},
                    sort_keys=True, indent=2) + "\n")
     print(f"wrote {cfg.chains} chains ({steps} proposals each) to {out_dir}")
     return 0
@@ -487,20 +510,20 @@ def run_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def run_equilibrium(cfg: ExperimentConfig, out_dir: Path) -> int:
     r_eq = cfg.potential.equilibrium_radius(cfg.d)
-    eq = solve_equilibrium(cfg.potential,
-                           Box.cube(np.zeros(cfg.d), 1.3 * r_eq),
-                           cfg.cells_per_axis, tol=max(cfg.solver_tol, 1e-6))
-    (out_dir / "equilibrium.json").write_text(
-        json.dumps(eq.to_json(), sort_keys=True) + "\n")
+    eq, messages = _recording_warnings(lambda: solve_equilibrium(
+        cfg.potential, Box.cube(np.zeros(cfg.d), 1.3 * r_eq),
+        cfg.cells_per_axis, tol=max(cfg.solver_tol, 1e-6)))
+    (out_dir / "equilibrium.json").write_text(json.dumps(
+        {**eq.to_json(), "warnings": messages}, sort_keys=True) + "\n")
     print(f"equilibrium: k={eq.k:.6f} el_residual={eq.el_residual:.3e} "
           f"converged={eq.converged}")
     if cfg.regimes:
         params = cfg.regimes[0]
-        th = solve_thermal(cfg.potential, params.N, params.beta, d=cfg.d,
-                           cells_per_axis=cfg.cells_per_axis,
-                           tol=cfg.solver_tol)
-        (out_dir / "thermal.json").write_text(
-            json.dumps(th.to_json(), sort_keys=True) + "\n")
+        th, messages = _regime_run(params, lambda: solve_thermal(
+            cfg.potential, params.N, params.beta, d=cfg.d,
+            cells_per_axis=cfg.cells_per_axis, tol=cfg.solver_tol))
+        (out_dir / "thermal.json").write_text(json.dumps(
+            {**th.to_json(), "warnings": messages}, sort_keys=True) + "\n")
         print(f"thermal (N={params.N}, beta={params.beta:.4g}): "
               f"k={th.k:.6f} el_residual={th.el_residual:.3e}")
     return 0
@@ -525,8 +548,8 @@ def run_rate(cfg: ExperimentConfig, out_dir: Path) -> int:
     params = _first_regime(cfg)
     mu = cfg.target_measure(params.N, params.lam)
     try:
-        rep, messages = _recording_warnings(
-            lambda: _rate_for(cfg, params, mu))
+        rep, messages = _regime_run(
+            params, lambda: _rate_for(cfg, params, mu))
     except ValueError as exc:  # e.g. a T target the thermal gas cannot reach
         raise ConfigError(f"infeasible rate target: {exc}") from exc
     (out_dir / f"rate_{cfg.rate_functional}.json").write_text(json.dumps(

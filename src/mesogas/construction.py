@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from numpy.random import default_rng
 
 from . import kernels
 from .coulomb import (SpaceParams, ball_self_energy, energy_offdiag,
@@ -293,7 +293,7 @@ def place_points(counts: np.ndarray, tiling: CubeTiling, separation: float,
         n_j = int(counts[j])
         tau = taus[j]
         _check_packing(n_j, eta, tau, d, int(j))
-        rng = np.random.default_rng((seed, int(j)))
+        rng = default_rng((seed, int(j)))
         half = 0.5 * eta - tau
         placed = np.empty((n_j, d))
         got = 0
@@ -509,14 +509,15 @@ def volume_estimate(nu: GridMeasure, mu_ref: GridMeasure, N: int,
     occ = counts > 0
     if np.any(q[occ] <= 0):
         raise ValueError("reference mass vanishes on a cube that needs points")
-    log_multi = float(gammaln(N + 1) - gammaln(counts + 1).sum()
+    log_factorials = np.array([math.lgamma(c + 1.0) for c in counts])
+    log_multi = float(math.lgamma(N + 1.0) - log_factorials.sum()
                       + (counts[occ] * np.log(q[occ])).sum())
     p = counts / N
     sanov = float(-(p[occ] * np.log(p[occ] / q[occ])).sum())
 
     taus = tau_values(counts, eta, separation, d)
     centers = tiling.centers()
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     loss = 0.0
     for j in np.flatnonzero(occ):
         n_j = int(counts[j])

@@ -9,7 +9,10 @@ transformed lattice kernel per geometry. The transform is pruned: it runs
 only over the 1-D lines that the zero padding leaves non-zero and keeps only
 the outputs the caller reads, in pocketfft's own ``rfftn``/``irfftn`` pass
 order and with its one final scale, so its output is bit-identical to the
-full padded transform. The zero-offset coefficient is the
+full padded transform. The transforms are calls into scipy's compiled
+pocketfft binding, made with the arguments ``scipy.fft`` would pass; the
+binding is loaded without ``scipy.fft``'s package imports (about 0.3 s of
+start-up, ``kernels._scipy_extension``). The zero-offset coefficient is the
 self-interaction of the uniform ball with the cell's volume,
 
     E(ball of radius a, unit mass) = 2d/(d+2) * a^(2-d),
@@ -42,11 +45,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftn
-from scipy.special import gamma as gamma_fn
 
 from . import kernels
 from .grids import AtomicMeasure, GridMeasure, Measure
+
+# scipy's pocketfft binding, without scipy.fft's package imports
+_pocketfft = kernels._scipy_extension("scipy.fft._pocketfft.pypocketfft")
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,18 @@ class SpaceParams:
 
     @property
     def sphere_area(self) -> float:
-        """Surface area of the unit sphere S^(d-1)."""
-        return 2.0 * math.pi ** (self.d / 2.0) / gamma_fn(self.d / 2.0)
+        """Surface area 2 pi^(d/2) / Gamma(d/2) of the unit sphere S^(d-1).
+
+        Gamma(d/2) takes its closed form: (k-1)! for d = 2k and
+        sqrt(pi) (2k)! / (4^k k!) for d = 2k + 1.
+        """
+        k = self.d // 2
+        if self.d % 2 == 0:
+            half_gamma = float(math.factorial(k - 1))
+        else:
+            half_gamma = (math.sqrt(math.pi) * math.factorial(2 * k)
+                          / (4 ** k * math.factorial(k)))
+        return 2.0 * math.pi ** (self.d / 2.0) / half_gamma
 
     @property
     def ball_volume(self) -> float:
@@ -169,6 +183,12 @@ def shell_shell_interaction(s: float, Ra: float, Rb: float, d: int) -> float:
 # lattice kernel (FFT-backed quadratic forms)
 # ---------------------------------------------------------------------------
 
+def _padded_length(n: int) -> int:
+    """Length of each axis of an n-cell lattice's zero-padded convolution:
+    ``scipy.fft.next_fast_len(2n - 1)``, pocketfft's complex good size."""
+    return _pocketfft.good_size(2 * n - 1, False)
+
+
 class GridKernel:
     """Midpoint cell-to-cell Coulomb form on one lattice geometry, via FFT.
 
@@ -184,7 +204,7 @@ class GridKernel:
         self.d = d
         self.cell_volume = float(np.prod(spacing))
         self.shape = (n,) * d
-        self._pad = tuple(next_fast_len(2 * n - 1) for _ in range(d))
+        self._pad = (_padded_length(n),) * d
         offs = []
         for k in range(d):
             m = self._pad[k]
@@ -206,7 +226,8 @@ class GridKernel:
         nz = valid & (r2 > 0)
         K[nz] = r2[nz] ** (0.5 * (2.0 - d))
         K[tuple([0] * d)] = cell_self_interaction(self.cell_volume, d)
-        self._Kf = rfftn(K)
+        # scipy.fft.rfftn(K): r2c over every axis, unscaled, one thread
+        self._Kf = _pocketfft.r2c(K, tuple(range(d)), True, 0, None, 1)
         # the inverse scale pocketfft applies, 1/size rounded via long double
         # (1.0 / size in double differs in the last bit for some sizes)
         self._inv_size = float(1 / np.longdouble(math.prod(self._pad)))
@@ -219,18 +240,22 @@ class GridKernel:
         Inverse: unscaled c2c on axes 0..d-2 and c2r on the last axis, each
         keeping its first n outputs, then the one 1/size scale. This is
         ``irfftn(rfftn(padded) * Kf)`` restricted to the n^d corner, float
-        for float.
+        for float. The pocketfft calls take the arrays, axes, scaling
+        (none) and in-place outputs that ``scipy.fft``'s ``rfft``, ``fft``
+        (zero-padded to ``n``), ``ifft`` and ``irfft`` would pass them.
         """
         n, last, pad = self.n, self.d - 1, self._pad
         # float64 as in the padded array, even for a float32 rho
-        a = rfft(np.asarray(rho, dtype=float), n=pad[-1], axis=last)
+        a = _zero_padded(np.asarray(rho, dtype=float), last, pad[-1])
+        a = _pocketfft.r2c(a, (last,), True, 0, None, 1)
         for k in range(last):
-            a = fft(a, n=pad[k], axis=k, overwrite_x=True)
+            a = _zero_padded(a, k, pad[k])
+            a = _pocketfft.c2c(a, (k,), True, 0, a, 1)
         a *= self._Kf
         for k in range(last):
-            a = ifft(a, axis=k, norm="forward", overwrite_x=True)
+            a = _pocketfft.c2c(a, (k,), False, 0, a, 1)
             a = a[(slice(None),) * k + (slice(0, n),)]
-        h = irfft(a, n=pad[-1], axis=last, norm="forward")[..., :n]
+        h = _pocketfft.c2r(a, (last,), pad[-1], False, 0, None, 1)[..., :n]
         out = h * self._inv_size
         out *= self.cell_volume
         return out
@@ -249,6 +274,15 @@ class GridKernel:
 
     def cross(self, rho_a: np.ndarray, rho_b: np.ndarray) -> float:
         return float(np.sum(rho_a * self.potential(rho_b)) * self.cell_volume)
+
+
+def _zero_padded(a: np.ndarray, axis: int, size: int) -> np.ndarray:
+    """A new array: `a` followed by zeros up to `size` along `axis`."""
+    shape = list(a.shape)
+    shape[axis] = size
+    out = np.zeros(shape, dtype=a.dtype)
+    out[(slice(None),) * axis + (slice(0, a.shape[axis]),)] = a
+    return out
 
 
 _KERNEL_CACHE: dict = {}

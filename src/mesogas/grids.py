@@ -26,12 +26,11 @@ scipy's binding of the solver (see ``_lp_stack``), with no scipy wrapper
 in between; its docstring has the measured gain.
 
 Importing this module loads numpy alone. The LP stack (the HiGHS binding
-and ``scipy.spatial.distance.cdist``) loads on the first call of
-``_lp_stack``: the binding's package, ``scipy.optimize``, brings
-``scipy.sparse``, ``scipy.linalg``, ``scipy.spatial`` and
-``scipy.constants`` with it. That import is about 0.2 s of the 0.56 s
-start-up of perfbench's ``sweep_energy`` (shared 2-CPU VM), which a run
-solving no BL LP does not need.
+and the compiled kernel of ``scipy.spatial.distance.cdist``) loads on the
+first call of ``_lp_stack``, as two bare compiled modules: their packages,
+``scipy.optimize`` and ``scipy.spatial``, would bring ``scipy.sparse``,
+``scipy.linalg`` and ``scipy.special`` with them, about 0.6 s of start-up
+on a shared 2-CPU VM against about 10 ms for the two modules.
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from . import kernels
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +327,18 @@ def _lp_stack():
     """The LP stack for ``bl_distance``: (HiGHS core module, cdist).
 
     The HiGHS module is scipy's own binding of the solver,
-    ``scipy.optimize._highspy._core`` (scipy >= 1.15). This is the one
-    place it is imported. ``cli.load_config`` calls it too, for a config
-    whose run solves a BL LP, so that start-up pays for the import and
-    forked sweep helpers inherit the loaded modules.
+    ``scipy.optimize._highspy._core`` (scipy >= 1.15), and cdist is
+    ``scipy.spatial._distance_pybind.cdist_euclidean``, the kernel that
+    ``scipy.spatial.distance.cdist`` calls for the Euclidean metric, with
+    the same result bit for bit. Both compiled modules are loaded without
+    their packages' imports (``kernels._scipy_extension``); this is the one
+    place they are named. ``cli.load_config`` calls it too, for a config
+    whose run solves a BL LP, so that start-up pays for the load and forked
+    sweep helpers inherit the loaded modules.
     """
-    from scipy.optimize._highspy import _core as highs
-    from scipy.spatial.distance import cdist
-    return highs, cdist
+    highs = kernels._scipy_extension("scipy.optimize._highspy._core")
+    distance = kernels._scipy_extension("scipy.spatial._distance_pybind")
+    return highs, distance.cdist_euclidean
 
 
 def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import kernels
 from .coulomb import default_smear_radius, energy_offdiag, \
@@ -88,14 +89,23 @@ class RegimeParams:
             raise ValueError(f"lambda={self.lam} must lie in [0, 1/d)")
         if self.R <= 0:
             raise ValueError("window half-width R must be positive")
+        for text in self.hypothesis_warnings:
+            warnings.warn(text)
+
+    @property
+    def hypothesis_warnings(self) -> list[str]:
+        """The texts of the warnings this regime raised when it was made,
+        one per value outside the theorem's hypothesis ranges."""
         lo = (self.d - 2) / self.d
+        hi = 1.0 / (self.d * (self.d + 2))
+        texts = []
         if not lo < self.gamma < 1:
-            warnings.warn(f"gamma={self.gamma} outside the hypothesis range "
-                          f"({lo:.4g}, 1); exploratory run")
-        if self.lam == 0 or self.lam >= 1.0 / (self.d * (self.d + 2)):
-            warnings.warn(f"lambda={self.lam} outside the hypothesis range "
-                          f"(0, {1.0 / (self.d * (self.d + 2)):.4g}); "
-                          "exploratory run")
+            texts.append(f"gamma={self.gamma} outside the hypothesis range "
+                         f"({lo:.4g}, 1); exploratory run")
+        if self.lam == 0 or self.lam >= hi:
+            texts.append(f"lambda={self.lam} outside the hypothesis range "
+                         f"(0, {hi:.4g}); exploratory run")
+        return texts
 
     @property
     def beta(self) -> float:
@@ -223,7 +233,7 @@ def gibbs_sample(params: RegimeParams, V, steps: int, burn_in: int,
         raise ValueError("need at least one chain")
     N, d, beta = params.N, params.d, params.beta
     C = len(indices)
-    rngs = [np.random.default_rng((seed, c)) for c in indices]
+    rngs = [default_rng((seed, c)) for c in indices]
 
     quadratic = getattr(V, "kind", None) == "quadratic"
     init_scale = 1.0 / math.sqrt(2.0 * max(N * beta, 1e-12))

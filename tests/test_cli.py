@@ -226,6 +226,33 @@ def test_invalid_configs_exit_2_without_a_traceback(tmp_path, capsys):
         assert "configuration error" in capsys.readouterr().err, patch
 
 
+@pytest.mark.parametrize("command", ["sample", "sweep"])
+def test_a_burn_in_without_steps_is_checked_at_load(tmp_path, capsys,
+                                                   command):
+    """Without `steps` a chain takes 200 N proposals, 1600 at N = 8, so a
+    burn-in of 5000 is a configuration error at load, not a traceback from
+    `sample` or a NaN row from `sweep`."""
+    obj = base_config()
+    obj["sampler"] = {"chains": 2, "burn_in": 5000}
+    obj["grid"]["N"] = [8, 32]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # gamma = 0.3 is exploratory
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert "burn_in=5000" in err and "1600 steps" in err
+    assert not out.exists()
+    obj["sampler"]["burn_in"] = 1599       # below 200 N at every N: loads
+    path.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = load_config(str(path))
+    assert [cfg.steps_at(p.N) for p in cfg.regimes] == [1600, 6400]
+
+
 @pytest.mark.parametrize("functional, name", [("phi", "Phi"), ("t", "T")])
 def test_rate_command_runs_phi_and_t(tmp_path, functional, name):
     obj = base_config()
@@ -392,6 +419,51 @@ def test_equilibrium_command_writes_solutions(config_path, tmp_path):
     th = json.loads((out / "thermal.json").read_text())
     assert eq["converged"] is True
     assert th["el_residual"] < 1e-6
+
+
+def test_sample_and_equilibrium_record_and_print_their_warnings(
+        tmp_path, capsys, monkeypatch):
+    """gamma = 1.5 lies outside the hypothesis range (1/3, 1). The config
+    load prints that warning once; sample_summary.json and thermal.json,
+    whose runs use the regime, list it first, and equilibrium.json, whose
+    zero-temperature solve has no regime, does not. A warning of the work
+    itself is listed and printed to stderr once, however often raised."""
+    obj = base_config()
+    obj["grid"]["gamma"] = [1.5]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    outside = "gamma=1.5 outside the hypothesis range (0.3333, 1); " \
+        "exploratory run"
+    real_sample, real_solve = cli.gibbs_sample, cli.solve_thermal
+
+    def warning_sample(*args, **kwargs):
+        for _ in range(3):
+            warnings.warn("planted by the chains")
+        return real_sample(*args, **kwargs)
+
+    def warning_solve(*args, **kwargs):
+        warnings.warn("planted by the thermal solve")
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "gibbs_sample", warning_sample)
+    monkeypatch.setattr(cli, "solve_thermal", warning_solve)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command in ("sample", "equilibrium"):
+            assert main([command, "--config", str(path),
+                         "--out", str(out)]) == 0
+    # the load's warning, once per run; the work's are recorded instead
+    assert [str(w.message) for w in caught] == [outside] * 2
+    summary = json.loads((out / "sample_summary.json").read_text())
+    assert summary["warnings"] == [outside, "planted by the chains"]
+    thermal = json.loads((out / "thermal.json").read_text())
+    assert thermal["warnings"] == [outside, "planted by the thermal solve"]
+    assert json.loads((out / "equilibrium.json").read_text())[
+        "warnings"] == []
+    err = capsys.readouterr().err
+    assert err.count("planted by the chains") == 1
+    assert err.count("planted by the thermal solve") == 1
 
 
 def test_rate_command_reports_zero_at_the_reference(config_path, tmp_path,

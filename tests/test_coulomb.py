@@ -1,14 +1,16 @@
 """Kernel math: potentials, smearing identities, grid energies, kernels."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import irfftn, rfftn
+from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.special import gamma
 
-from mesogas import kernels
+from mesogas import coulomb, kernels
 from mesogas.coulomb import (GridKernel, SmearKind, SpaceParams,
                              ball_potential, ball_self_energy,
                              default_smear_radius, dense_kernel_matrix,
@@ -27,6 +29,28 @@ def test_space_params_d3_constants():
     assert sp.c_d == pytest.approx(-4.0 * math.pi)
     with pytest.raises(ValueError):
         SpaceParams(2)
+
+
+def test_sphere_area_is_the_gamma_function_form():
+    """The closed form of Gamma(d/2) gives scipy.special.gamma's area bit
+    for bit at d = 3..6. Up to d = 12 it is within 2 ulp of it and never
+    further from the exact area, 2 pi^k / (k-1)! at d = 2k and
+    2^(2k+1) pi^k k! / (2k)! at d = 2k + 1, in 60-digit decimals: at d = 9
+    scipy's value is 1.94 ulp low, the closed form's 0.06 ulp."""
+    pi = Decimal("3.14159265358979323846264338327950288419716939937510582097")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for d in range(3, 13):
+            got = SpaceParams(d).sphere_area
+            scipys = 2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0)
+            k = d // 2
+            exact = (2 * pi ** k / math.factorial(k - 1) if d % 2 == 0 else
+                     2 ** (2 * k + 1) * pi ** k * math.factorial(k)
+                     / math.factorial(2 * k))
+            if d <= 6:
+                assert got == scipys, d
+            assert abs(got - scipys) <= 2 * math.ulp(scipys), d
+            assert abs(Decimal(got) - exact) <= abs(Decimal(scipys) - exact), d
 
 
 def test_kernel_values():
@@ -136,6 +160,19 @@ def _assert_matches_padded_convolution(ker: GridKernel, rho: np.ndarray):
     assert np.array_equal(rho, before)        # the caller's rho is untouched
     assert got.shape == rho.shape
     assert np.array_equal(got, _padded_convolution(ker, rho))
+
+
+def test_pad_is_scipys_next_fast_len():
+    """The padded convolution oracle pads to ``ker._pad`` itself, so the
+    pad is pinned here: pocketfft's real good size would pad 11 to 12 at
+    n = 6 and 63 to 64 at n = 32. Kernels are built up to n = 64 at d = 3
+    and n = 16 at d = 4 (a 128^4 kernel would take 2 GB)."""
+    for n in range(1, 65):
+        assert coulomb._padded_length(n) == next_fast_len(2 * n - 1), n
+    for d, top in ((3, 64), (4, 16)):
+        for n in range(1, top + 1):
+            ker = GridKernel(n, np.full(d, 0.1), d)
+            assert ker._pad == (next_fast_len(2 * n - 1),) * d, (d, n)
 
 
 @pytest.mark.parametrize("d, sizes", [(3, (1, 2, 3, 5, 8, 16, 32)),

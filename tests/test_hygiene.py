@@ -222,10 +222,19 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert proc.returncode == 0, proc.stderr or "scipy.integrate was loaded"
 
 
+# scipy packages whose __init__ the package never runs: it loads the
+# compiled modules it calls with kernels._scipy_extension
+UNLOADED_SCIPY = ("scipy.fft", "scipy.special", "scipy._lib._array_api",
+                  "scipy.optimize", "scipy.spatial", "scipy.sparse",
+                  "scipy.linalg", "scipy.integrate")
+
+
 def test_lp_stack_loads_only_for_a_config_that_solves_a_bl_lp(tmp_path):
     """After the imports of the benchmark's worker and the load of an
     energy-ball config with no construction section, none of scipy's LP
-    stack (nor scipy.integrate) is loaded; loading a BL config loads it."""
+    stack is loaded; loading a BL config loads it. Neither load, nor the
+    imports, runs the ``__init__`` of a scipy package in
+    ``UNLOADED_SCIPY``."""
     energy = {"grid": {"N": [16], "gamma": [0.5], "lambda": [0.05]},
               "ball": {"type": "energy"}, "rate": {"functional": "t"}}
     bl = {**energy, "ball": {"type": "bl"}}
@@ -233,17 +242,26 @@ def test_lp_stack_loads_only_for_a_config_that_solves_a_bl_lp(tmp_path):
     for name, obj in (("energy", energy), ("bl", bl)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(obj))
-    script = textwrap.dedent("""
+    script = textwrap.dedent(f"""
         import sys
         from mesogas import (cli, construction, coulomb, equilibrium,
                              grids, kernels, rates, sampler)
+
+        def check(stage):
+            loaded = [m for m in {UNLOADED_SCIPY!r} if m in sys.modules]
+            if loaded:
+                sys.exit(f"{{stage}} loaded {{loaded}}")
+
+        check("the imports")
         cli.load_config(sys.argv[1])
-        loaded = [m for m in ("scipy.optimize", "scipy.sparse",
-                              "scipy.spatial", "scipy.integrate")
-                  if m in sys.modules]
-        if loaded:
-            sys.exit(f"the energy config loaded {loaded}")
+        check("the energy config")
+        lp = [m for m in ("scipy.optimize._highspy._core",
+                          "scipy.spatial._distance_pybind")
+              if m in sys.modules]
+        if lp:
+            sys.exit(f"the energy config loaded {{lp}}")
         cli.load_config(sys.argv[2])
+        check("the BL config")
         if "scipy.optimize._highspy._core" not in sys.modules:
             sys.exit("the BL config left scipy's HiGHS binding unloaded")
         """)
@@ -251,6 +269,45 @@ def test_lp_stack_loads_only_for_a_config_that_solves_a_bl_lp(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, *map(str, paths)],
                           env=env, capture_output=True, text=True,
                           timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_imports_after_the_package_reuse_its_compiled_modules():
+    """With the package and its LP stack loaded first, ``import scipy.fft``
+    and ``from scipy.optimize import linprog`` reuse the compiled modules
+    that ``kernels._scipy_extension`` registered, and both still work."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from mesogas import grids
+        grids._lp_stack()
+        names = ("scipy.fft._pocketfft.pypocketfft",
+                 "scipy.optimize._highspy._core",
+                 "scipy.spatial._distance_pybind")
+        ours = [sys.modules[name] for name in names]
+        import scipy.fft
+        from scipy.optimize import linprog
+        from scipy.spatial.distance import cdist
+        from scipy.fft._pocketfft import basic
+        from scipy.optimize._highspy import _highs_wrapper
+        from scipy.spatial import distance
+        if [sys.modules[name] for name in names] != ours:
+            sys.exit("a scipy import replaced a registered module")
+        if not (basic.pfft is ours[0] and _highs_wrapper._h is ours[1]
+                and distance._distance_pybind is ours[2]):
+            sys.exit("scipy holds a second copy of a compiled module")
+        x = np.arange(8.0)
+        if not np.allclose(scipy.fft.irfft(scipy.fft.rfft(x), n=8), x):
+            sys.exit("scipy.fft round trip failed")
+        res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+        if not (res.status == 0 and abs(res.fun - 1.0) < 1e-12):
+            sys.exit(f"linprog failed: {res}")
+        if cdist([[0.0, 0.0]], [[3.0, 4.0]])[0, 0] != 5.0:
+            sys.exit("cdist failed")
+        """)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -295,6 +352,21 @@ def test_the_lp_stack_is_scipys_highs_binding_alone():
                 stray.append(where)
     assert not stray, "LP stack named outside grids._lp_stack: " + \
         ", ".join(stray)
+
+
+def test_scipys_fft_and_distance_bindings_have_what_the_package_calls():
+    """``pypocketfft`` and ``_distance_pybind`` are private to scipy; if an
+    upgrade moves what ``GridKernel`` or ``bl_distance`` calls, this names
+    what is gone."""
+    from mesogas.kernels import _scipy_extension
+    wanted = {"scipy.fft._pocketfft.pypocketfft": ("good_size", "r2c",
+                                                   "c2c", "c2r"),
+              "scipy.spatial._distance_pybind": ("cdist_euclidean",)}
+    missing = [f"{name}.{attr}" for name, attrs in wanted.items()
+               for attr in attrs
+               if not callable(getattr(_scipy_extension(name), attr, None))]
+    assert not missing, "scipy lacks what the package calls: " + ", ".join(
+        missing)
 
 
 def test_scipys_highs_binding_has_what_bl_distance_uses():
