@@ -16,10 +16,10 @@ Hot numeric kernels (pair sums, smeared grid potentials, the Metropolis step
 loop) live in ``kernels``, each with one numpy implementation.
 """
 
-from .coulomb import SmearKind, SpaceParams, energy, interaction, potential_field
+from .coulomb import SmearKind, SpaceParams, energy, potential_field
 from .equilibrium import Potential, solve_equilibrium, solve_thermal
 from .grids import (AtomicMeasure, Box, GridMeasure, bl_distance, dilate,
-                    entropy, mass, relative_entropy, resample)
+                    mass, relative_entropy, resample)
 from .rates import ExteriorDomain, RateReport, n_rate, phi_rate, t_rate
 from .sampler import RegimeParams, gibbs_sample, hamiltonian, splitting_decompose
 
@@ -28,9 +28,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicMeasure", "Box", "ExteriorDomain", "GridMeasure",
     "Potential", "RateReport", "RegimeParams", "SmearKind", "SpaceParams",
-    "bl_distance", "dilate", "energy", "entropy", "gibbs_sample",
-    "hamiltonian", "interaction", "mass", "n_rate", "phi_rate",
-    "potential_field", "relative_entropy", "resample", "solve_equilibrium",
-    "solve_thermal", "splitting_decompose", "t_rate",
+    "bl_distance", "dilate", "energy", "gibbs_sample", "hamiltonian",
+    "mass", "n_rate", "phi_rate", "potential_field", "relative_entropy",
+    "resample", "solve_equilibrium", "solve_thermal", "splitting_decompose",
+    "t_rate",
     "__version__",
 ]

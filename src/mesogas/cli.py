@@ -241,14 +241,13 @@ class ExperimentConfig:
         """Density of the quadratic-potential equilibrium measure at 0."""
         return self.potential.equilibrium_density(self.d)
 
-    def target_measure(self, N: int | None = None,
-                       lam: float | None = None) -> GridMeasure:
-        """Deviation target on the window grid.
+    def target_measure(self, N: int, lam: float) -> GridMeasure:
+        """Deviation target on the window grid, for the regime (N, lam).
 
         kind "uniform" fills the whole window cube at the target value.
         kind "ball" fills only the dilated equilibrium support (radius
         r_V N^lambda), so the target tracks where the blown-up gas actually
-        lives; it therefore needs N and lambda.
+        lives.
         """
         value = self.target_value
         if value is None:
@@ -256,9 +255,6 @@ class ExperimentConfig:
         win = self.domain.interior
         if self.target_kind == "uniform":
             return GridMeasure.uniform(win, self.window_cells, value)
-        if N is None or lam is None:
-            raise ConfigError("the ball target is the dilated equilibrium "
-                              "support and needs N and lambda")
         radius = self.potential.equilibrium_radius(self.d) \
             * float(N) ** float(lam)
         return GridMeasure.from_function(
@@ -292,7 +288,7 @@ def _check(name, residual, tolerance):
 def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     from . import kernels
     from .coulomb import (SmearKind, energy, g_radial, shell_self_energy,
-                          shell_shell_interaction)
+                          shell_shell_interaction, sphere_average)
     from .equilibrium import blowup
     from .grids import dilate
     from .rates import kappa_minimizer
@@ -302,12 +298,13 @@ def _verify_checks(cfg: ExperimentConfig) -> list[dict]:
     rng = np.random.default_rng(cfg.seed)
     checks = []
 
-    # analytic smearing identities (exact)
+    # smearing identities: the shell's closed-form self-energy g(R) against
+    # the quadrature of its potential at a point on the shell, then Newton
     R = 0.7
     lhs = shell_self_energy(R, d)
-    rhs = g_radial(R, d) * shell_self_energy(1.0, d) * 1.0 ** (d - 2)
-    checks.append(_check("smearing-sphere-scaling",
-                         abs(lhs - rhs) / abs(rhs), 1e-12))
+    rhs = sphere_average(lambda r: g_radial(r, d), R, R, d)
+    checks.append(_check("smearing-shell-self-energy",
+                         abs(lhs - rhs) / abs(rhs), 1e-10))
     worst = 0.0
     for _ in range(20):
         ra, rb = rng.uniform(0.05, 0.3, size=2)

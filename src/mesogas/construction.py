@@ -320,7 +320,7 @@ def place_points(counts: np.ndarray, tiling: CubeTiling, separation: float,
 
 def _normalized(nu: GridMeasure) -> GridMeasure:
     m = mass(nu)
-    return nu if abs(m - 1.0) < 1e-12 else nu * (1.0 / m)
+    return nu if abs(m - 1.0) < 1e-12 else nu.with_density(nu.density * (1.0 / m))
 
 
 def separation_radius(counts: np.ndarray, cube_size: float,
@@ -348,7 +348,8 @@ def energy_gap(configuration: AtomicMeasure, nu: GridMeasure,
     nu = _normalized(nu)
     r_s = _smear_for(tau_min, 0.25 * nu.spacing[0])
     n, w = configuration.count, configuration.weight
-    gap = energy_offdiag(configuration, -1.0 * nu, smear_radius=r_s)
+    gap = energy_offdiag(configuration, nu.with_density(-nu.density, signed=True),
+                         smear_radius=r_s)
     return gap + n * w ** 2 * ball_self_energy(r_s, nu.d), r_s
 
 

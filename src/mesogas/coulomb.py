@@ -25,10 +25,12 @@ diagonal (overridable); by Newton's theorem the smeared kernel
     g_ball(z; r) = |z|^(2-d)                          for |z| >= r
                  = (|z|^2 + d(r^2-|z|^2)/2) / r^d     for |z| <  r
 
-is exact, so no rasterization error enters mixed forms. Pure atomic sums are
-O(N^2) direct evaluations of g; ``energy_offdiag`` adds them to the grid
-forms as E^{neq}(atoms + grid), for atoms of either sign. Two atomic measures
-have no finite bilinear form of their own.
+is exact, so no rasterization error enters mixed forms. A grid measure's
+field at points and the atoms' field on a lattice are the one smeared sum
+``kernels.grid_potential_at_points``, with the cells or the atoms as its
+sources. Pure atomic sums are O(N^2) direct evaluations of g;
+``energy_offdiag`` adds them to the grid forms as E^{neq}(atoms + grid), for
+atoms of either sign.
 
 Sphere smearing (uniform measure on a boundary sphere) has the classical
 closed forms  h_shell(z; R) = g(max(|z|, R))  and  E(shell_R) = g(R); two
@@ -272,9 +274,6 @@ class GridKernel:
     def energy(self, rho: np.ndarray) -> float:
         return float(np.sum(rho * self.potential(rho)) * self.cell_volume)
 
-    def cross(self, rho_a: np.ndarray, rho_b: np.ndarray) -> float:
-        return float(np.sum(rho_a * self.potential(rho_b)) * self.cell_volume)
-
 
 def _zero_padded(a: np.ndarray, axis: int, size: int) -> np.ndarray:
     """A new array: `a` followed by zeros up to `size` along `axis`."""
@@ -315,7 +314,7 @@ def dense_kernel_matrix(like: GridMeasure) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fields, energies, interactions
+# fields and energies
 # ---------------------------------------------------------------------------
 
 def default_smear_radius(like: GridMeasure) -> float:
@@ -334,9 +333,10 @@ def potential_field(m: Measure, like: GridMeasure,
             raise ValueError("potential_field: grid input must share the target lattice")
         return grid_kernel(like).potential(m.density)
     radius = default_smear_radius(like) if smear_radius is None else float(smear_radius)
-    flat = kernels.atoms_potential_on_grid(
-        np.ascontiguousarray(m.points), m.weight, like.cell_centers(),
-        radius, float(like.d))
+    # the atoms are the sources, with unit weights scaled by their common one
+    flat = kernels.grid_potential_at_points(
+        np.ones(m.count), np.ascontiguousarray(m.points), m.weight,
+        like.cell_centers(), radius, float(like.d))
     return flat.reshape(like.density.shape)
 
 
@@ -372,23 +372,6 @@ def energy(m: Measure, smear: SmearKind | None = None) -> float:
             s = float(np.linalg.norm(pts[i] - pts[j]))
             total += 2.0 * shell_shell_interaction(s, R, R, m.d)
     return float(w * w * total)
-
-
-def interaction(a: Measure, b: Measure) -> float:
-    """Bilinear form G(a, b) = double integral of g against a x b.
-
-    grid x grid requires a shared lattice; atomic x grid smears the atoms
-    at one cell diagonal. Atomic x atomic raises TypeError: its
-    diagonal diverges, and ``energy_offdiag`` is the form that drops it.
-    """
-    if isinstance(a, GridMeasure) and isinstance(b, GridMeasure):
-        a._check_lattice(b)
-        return grid_kernel(a).cross(a.density, b.density)
-    if isinstance(a, GridMeasure):
-        a, b = b, a
-    if not isinstance(b, GridMeasure):
-        raise TypeError("interaction needs at least one grid measure")
-    return float(a.weight * np.sum(potential_at_points(b, a.points)))
 
 
 def energy_offdiag(atoms: AtomicMeasure | Sequence[AtomicMeasure] | None,

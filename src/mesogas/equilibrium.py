@@ -98,18 +98,14 @@ class EquilibriumSolution:
     support_max: float = 0.0
 
     def log_density_at(self, points: np.ndarray, dilation: float = 1.0) -> np.ndarray:
-        """log density at points of the measure dilated by `dilation`.
+        """log density of a thermal solution at points of the measure
+        dilated by `dilation`.
 
         Nearest-cell evaluation; stays finite deep in the thermal tail where
         exp would underflow. Points outside the (dilated) box map to -inf.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float)) / dilation
-        if self.log_density is not None:
-            src = self.log_density
-        else:
-            with np.errstate(divide="ignore"):
-                src = np.log(self.measure.density)
-        holder = self.measure.with_density(src, signed=True)
+        holder = self.measure.with_density(self.log_density, signed=True)
         return holder.density_at(pts, fill=-np.inf)
 
     def log_density_smooth(self, points: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Measures on boxes: grid densities, atomic configurations, and their algebra.
+"""Measures on boxes (grid densities, atomic configurations) and operations.
 
 Two concrete measure types cover everything the laboratory needs:
 
@@ -179,26 +179,11 @@ class GridMeasure:
         return (self.cells_per_axis == other.cells_per_axis
                 and self.box.same_geometry(other.box, 1e-10))
 
-    # -- algebra on a shared lattice ----------------------------------------
+    # -- new densities on the same lattice ----------------------------------
 
     def _check_lattice(self, other: "GridMeasure"):
         if not self.same_lattice(other):
             raise ValueError("grid measures live on different lattices")
-
-    def __add__(self, other: "GridMeasure") -> "GridMeasure":
-        self._check_lattice(other)
-        return replace(self, density=self.density + other.density,
-                       signed=self.signed or other.signed)
-
-    def __sub__(self, other: "GridMeasure") -> "GridMeasure":
-        self._check_lattice(other)
-        return replace(self, density=self.density - other.density, signed=True)
-
-    def __mul__(self, a: float) -> "GridMeasure":
-        return replace(self, density=self.density * float(a),
-                       signed=self.signed or a < 0)
-
-    __rmul__ = __mul__
 
     def with_density(self, rho: np.ndarray, signed: bool | None = None) -> "GridMeasure":
         return replace(self, density=rho,
@@ -256,15 +241,6 @@ def mass(m: Measure) -> float:
     if isinstance(m, GridMeasure):
         return float(m.density.sum() * m.cell_volume)
     return float(m.count * m.weight)
-
-
-def entropy(m: GridMeasure) -> float:
-    """Absolute entropy ent[mu] = integral of rho log rho, with 0 log 0 = 0."""
-    rho = m.density
-    if np.any(rho < 0):
-        raise ValueError("entropy requires a nonnegative density")
-    pos = rho > 0
-    return float(np.sum(rho[pos] * np.log(rho[pos])) * m.cell_volume)
 
 
 def relative_entropy(m: GridMeasure, ref: GridMeasure) -> float:

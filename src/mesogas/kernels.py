@@ -7,6 +7,8 @@ Conventions shared by all kernels:
   * a "smeared" evaluation replaces a point charge by the uniform ball of
     radius r around it; by Newton's theorem the resulting potential has the
     closed form used in `_ball_g` and is exact, not a quadrature.
+    ``grid_potential_at_points`` is the one smeared sum, for the cells of a
+    grid measure and for atoms alike.
 
 Accumulation order is fixed, so results are deterministic for a given seed.
 
@@ -28,7 +30,7 @@ import numpy as np
 # reads this constant for the machine facts it records.
 NUMBA_ENABLED = False
 
-# Point-cell pairs per block of grid_potential_at_points: 128 points on an
+# Point-source pairs per block of grid_potential_at_points: 128 points on an
 # 8^3 grid, and one point per block on criterion 1's 48^3 grid, where
 # blocks of several points measured slower.
 BLOCK_ENTRIES = 1 << 16
@@ -113,13 +115,16 @@ def _ball_g(r2, radius, d):
 
 
 def grid_potential_at_points(density, centers, cellvol, points, radius, d):
-    """h at `points` from the grid measure, each point smeared at `radius`.
+    """h at `points` from the sources at `centers`, each point smeared at
+    `radius`: cellvol * sum_j density[j] * g_ball(point - centers[j]).
 
-    `density` is flat over the cells with the given `centers` and volume.
-    radius == 0 evaluates the raw kernel g(point - cell center). Each
+    A grid measure passes its flat density, cell centers and cell volume;
+    atoms pass weight 1 at each atom and their common weight as `cellvol`,
+    which by symmetry of g_ball gives their smeared field at `points`.
+    radius == 0 evaluates the raw kernel, +inf at a coincident source. Each
     distinct point is evaluated once (snapshots of one chain share every
     particle that did not move) and its value copied to its repeats. Points
-    are evaluated in blocks of at most BLOCK_ENTRIES point-cell pairs (at
+    are evaluated in blocks of at most BLOCK_ENTRIES point-source pairs (at
     least one point per block), each point's value with the arithmetic of a
     point evaluated alone.
     """
@@ -135,16 +140,6 @@ def grid_potential_at_points(density, centers, cellvol, points, radius, d):
         out[s:s + block] = cellvol * _rowdot(_ball_g(r2, radius, d), rho)
     # the inverse's shape differs across numpy versions
     return out[inverse.reshape(-1)]
-
-
-def atoms_potential_on_grid(atoms, weight, centers, radius, d):
-    """Field of smeared atoms sampled at each of the (n, d) `centers`."""
-    out = np.zeros(centers.shape[0])
-    for a in range(atoms.shape[0]):
-        diff = centers - atoms[a]
-        r2 = np.einsum("ik,ik->i", diff, diff)
-        out += _ball_g(r2, radius, d)
-    return weight * out
 
 
 def run_chain_quadratic(x, scale, beta, nweight, vcoef, d,

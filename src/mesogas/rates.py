@@ -137,17 +137,12 @@ def n_rate(mu: GridMeasure, ref_density: float) -> float:
 
     The reference is strictly positive on the box, so every grid measure on
     the box is absolutely continuous with respect to it. mu = 0 gives the
-    pure mass term ref*vol.
+    pure mass term ref*vol; a negative density raises ValueError.
     """
     if ref_density <= 0:
         raise ValueError("reference density must be positive")
-    if mu.signed and np.any(mu.density < 0):
-        raise ValueError("n_rate needs a positive measure")
-    dv = mu.cell_volume
-    dens = mu.density
-    pos = dens > 0
-    rel = float(np.sum(dens[pos] * np.log(dens[pos] / ref_density)) * dv)
-    return rel + ref_density * mu.box.volume - float(np.sum(dens) * dv)
+    ref = GridMeasure.uniform(mu.box, mu.cells_per_axis, ref_density)
+    return relative_entropy(mu, ref) + ref_density * mu.box.volume - mass(mu)
 
 
 def _background_full(background, domain: ExteriorDomain) -> np.ndarray:

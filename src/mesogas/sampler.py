@@ -208,17 +208,24 @@ def _propose_batch(rng, n_props: int, N: int, d: int):
     return sites, normals, unifs
 
 
+# Draws of a chain's start before gibbs_sample gives up. An N = 8 start at
+# scale 0.64 lies in a table of half width 1 with probability about 0.05.
+START_DRAWS = 1000
+
+
 def gibbs_sample(params: RegimeParams, V, steps: int, burn_in: int,
                  seed: int, chain_index: int | Sequence[int] = 0
                  ) -> list[ChainState] | list[list[ChainState]]:
     """Metropolis chains for (1/Z) exp(-beta H_N); returns thinned snapshots.
 
-    Proposals are single-site Gaussian moves. During burn-in each chain's
-    scale is retuned every window toward 35% acceptance, then frozen. One
-    sample is recorded every N proposals after burn-in. Each chain draws
-    from its own RNG stream, derived from (seed, chain_index), so
-    trajectories are reproducible and chains with different indices are
-    independent.
+    Each chain starts from a centred Gaussian draw, drawn again while its
+    energy is infinite (a point off a tabulated potential's box), at most
+    START_DRAWS times. Proposals are single-site Gaussian moves. During
+    burn-in each chain's scale is retuned every window toward 35%
+    acceptance, then frozen. One sample is recorded every N proposals
+    after burn-in. Each chain draws from its own RNG stream, derived from
+    (seed, chain_index), so trajectories are reproducible and chains with
+    different indices are independent.
 
     `chain_index` is one index, whose snapshot list is returned, or a
     sequence of indices, whose chains step in lockstep through one kernel
@@ -236,28 +243,32 @@ def gibbs_sample(params: RegimeParams, V, steps: int, burn_in: int,
     rngs = [default_rng((seed, c)) for c in indices]
 
     quadratic = getattr(V, "kind", None) == "quadratic"
+    vcoef, general_v = (float(V.coef), None) if quadratic else (0.0, V)
+    if getattr(V, "kind", None) == "tabulated":
+        # V is +inf off its table's box, so such proposals are rejected and
+        # such starts drawn again
+        general_v = lambda p: V.table.density_at(p, fill=np.inf)
     init_scale = 1.0 / math.sqrt(2.0 * max(N * beta, 1e-12))
     if quadratic:
         init_scale /= math.sqrt(V.coef)
+    init_scale = max(init_scale, 1e-3)
     x = np.empty((C, N, d))
     ham = np.empty(C)
     for c, rng in enumerate(rngs):
-        x[c] = rng.standard_normal((N, d)) * max(init_scale, 1e-3)
-        ham[c] = hamiltonian(x[c], V, N)
-        while not math.isfinite(ham[c]):
-            x[c] = rng.standard_normal((N, d))
-            ham[c] = hamiltonian(x[c], V, N)
+        for _ in range(START_DRAWS):
+            x[c] = rng.standard_normal((N, d)) * init_scale
+            ham[c] = hamiltonian(x[c], general_v or V, N)
+            if math.isfinite(ham[c]):
+                break
+        else:
+            raise ValueError(f"no start of finite energy in {START_DRAWS} "
+                             f"draws at scale {init_scale:.3g}")
 
     scale = [0.5 / max(N * beta, 1.0) ** 0.5] * C
     accepted_total = np.zeros(C, dtype=np.int64)
     step = 0
     out: list[list[ChainState]] = [[] for _ in indices]
     tune_window = max(50, 10 * N)
-
-    vcoef, general_v = (float(V.coef), None) if quadratic else (0.0, V)
-    if getattr(V, "kind", None) == "tabulated":
-        # V is +inf off its table's box, so such proposals are rejected
-        general_v = lambda p: V.table.density_at(p, fill=np.inf)
 
     def run(n_props):
         # each chain draws its block from its own stream; rows step-major

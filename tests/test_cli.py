@@ -126,7 +126,8 @@ def test_an_explicit_null_takes_the_default():
     for (section, key), (attr, _, default, _) in cli.CONFIG_KEYS.items():
         assert getattr(nulls, attr) == default, (section, key)
     assert ExperimentConfig.from_json({"target": {"value": None}}) \
-        .target_measure().density.max() == pytest.approx(3 / (4 * math.pi))
+        .target_measure(16, 0.05).density.max() \
+        == pytest.approx(3 / (4 * math.pi))
 
 
 ROOT = Path(__file__).parents[1]
@@ -155,7 +156,7 @@ def test_uniform_target_defaults_to_equilibrium_density():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cfg = ExperimentConfig.from_json(base_config())
-    mu = cfg.target_measure()
+    mu = cfg.target_measure(8, 0.05)
     want = 3.0 / (4.0 * math.pi)
     assert cfg.mu_v_density() == pytest.approx(want, rel=1e-12)
     assert np.allclose(mu.density, want)
@@ -167,8 +168,6 @@ def test_ball_target_needs_regime_parameters():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cfg = ExperimentConfig.from_json(obj)
-    with pytest.raises(ConfigError):
-        cfg.target_measure()
     mu = cfg.target_measure(16, 0.05)
     # positive inside the dilated support, zero in the window corners
     assert mu.density.max() == pytest.approx(0.2)
@@ -376,6 +375,21 @@ def test_verify_command_passes_and_writes_report(config_path, tmp_path,
     assert all(c["passed"] for c in report["checks"])
     text = capsys.readouterr().out
     assert "PASS" in text and "FAIL " not in text
+
+
+def test_verify_smearing_check_fails_on_a_wrong_shell_self_energy(
+        monkeypatch):
+    """The first check sets the closed form g(R) against a quadrature of
+    the shell's potential on the shell, so a wrong closed form (here the
+    ball's self-energy) fails it."""
+    from mesogas import coulomb
+    monkeypatch.setattr(coulomb, "shell_self_energy",
+                        coulomb.ball_self_energy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        first = cli._verify_checks(ExperimentConfig.from_json(base_config()))[0]
+    assert first["name"] == "smearing-shell-self-energy"
+    assert not first["passed"]
 
 
 def test_verify_records_warnings_raised_by_its_checks(config_path, tmp_path,

@@ -15,8 +15,8 @@ from mesogas.coulomb import (GridKernel, SmearKind, SpaceParams,
                              ball_potential, ball_self_energy,
                              default_smear_radius, dense_kernel_matrix,
                              energy, energy_offdiag, g_radial, grid_kernel,
-                             interaction, potential_at_points,
-                             potential_field, shell_potential,
+                             potential_at_points, potential_field,
+                             shell_potential,
                              shell_self_energy, shell_shell_interaction,
                              smeared_energy_bound, sphere_average)
 from mesogas.grids import AtomicMeasure, Box, GridMeasure
@@ -117,14 +117,6 @@ def test_energy_is_positive_definite():
     for _ in range(10):
         diff = GridMeasure(box, 5, rng.standard_normal((5, 5, 5)), signed=True)
         assert energy(diff) > 0.0
-
-
-def test_interaction_cauchy_schwarz():
-    rng = np.random.default_rng(14)
-    box = Box.cube(np.zeros(3), 1.0)
-    a = GridMeasure(box, 4, rng.uniform(0, 1, (4, 4, 4)))
-    b = GridMeasure(box, 4, rng.uniform(0, 1, (4, 4, 4)))
-    assert interaction(a, b) ** 2 <= energy(a) * energy(b) * (1 + 1e-12)
 
 
 def test_potential_field_matches_dense_kernel():
@@ -233,12 +225,14 @@ def test_smeared_energy_equality_iff_separated():
 
 def test_energy_offdiag_two_far_atoms():
     """With the diagonal dropped, two atoms interact like point charges and
-    the grid terms cancel when the grid measure is zero."""
+    the grid terms cancel when the grid measure is zero; with it kept, the
+    raw atomic energy is infinite."""
     grid = GridMeasure.zeros(Box.cube(np.zeros(3), 2.0), 8)
     pts = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     atoms = AtomicMeasure(pts, 0.5)
     got = energy_offdiag(atoms, grid)
     assert got == pytest.approx(2.0 * 0.25 * g_radial(2.0, 3), rel=1e-9)
+    assert energy(atoms) == math.inf
 
 
 def test_pairwise_kernel_sum_matches_bruteforce():
@@ -270,13 +264,6 @@ def test_smear_kind_validation():
     for kind, radius in (("cube", 0.1), ("ball", 0.1), ("sphere", -1.0)):
         with pytest.raises(ValueError):
             SmearKind(kind, radius)
-
-
-def test_atomic_forms_without_a_finite_value_raise():
-    atoms = AtomicMeasure(np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]), 0.5)
-    assert energy(atoms) == math.inf
-    with pytest.raises(TypeError):
-        interaction(atoms, atoms)
 
 
 def test_raw_kernel_is_infinite_only_at_a_coincident_center():

@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from mesogas.construction import ConstructionParams, construct
 from mesogas.grids import (AtomicMeasure, Box, GridMeasure, bl_distance,
-                           box_mass, dilate, entropy, mass, measure_to_json,
+                           box_mass, dilate, mass, measure_to_json,
                            relative_entropy, resample)
 
 
@@ -53,27 +53,6 @@ def test_dilation_of_atoms_scales_weight():
     ax = dilate(a, 2.0)
     assert ax.weight == pytest.approx(0.5 * 8.0)
     assert np.allclose(ax.points, 2.0 * a.points)
-
-
-def test_entropy_scaling_under_dilation():
-    """ent[mu^x] = x^d ent[mu] with value-preserving dilation; dividing the
-    density by x^d instead subtracts mass * d log x."""
-    rng = np.random.default_rng(11)
-    m = GridMeasure(Box.cube(np.zeros(3), 1.0), 5,
-                    rng.uniform(0.1, 2.0, (5, 5, 5)))
-    x = 1.9
-    assert entropy(dilate(m, x)) == pytest.approx(x ** 3 * entropy(m),
-                                                  rel=1e-12)
-    normalized = dilate(m, x) * (x ** -3)
-    assert entropy(normalized) == pytest.approx(
-        entropy(m) - mass(m) * 3 * math.log(x), rel=1e-12)
-
-
-def test_entropy_rejects_negative_density():
-    m = GridMeasure(Box.cube(np.zeros(3), 1.0), 2,
-                    -np.ones((2, 2, 2)), signed=True)
-    with pytest.raises(ValueError):
-        entropy(m)
 
 
 def test_relative_entropy_reference_must_cover_support():
@@ -359,14 +338,3 @@ def test_measure_to_json_fields():
     pts = rng.uniform(-1, 1, (6, 3))
     got = measure_to_json(AtomicMeasure(pts, 0.125))
     assert got == {"points": pts.tolist(), "weight": 0.125}
-
-
-def test_signed_measures_add_and_subtract():
-    box = Box.cube(np.zeros(3), 1.0)
-    a = GridMeasure.uniform(box, 4, 1.0)
-    b = GridMeasure.uniform(box, 4, 0.25)
-    diff = a - b
-    assert diff.signed
-    assert mass(diff) == pytest.approx(6.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        a + GridMeasure.uniform(Box.cube(np.zeros(3), 2.0), 4, 1.0)

@@ -29,7 +29,9 @@ def test_blocked_grid_potential_matches_the_point_loop(radius):
     cells; radius 0 is the raw kernel. Repeated points (all equal,
     interleaved, and on both sides of a block edge, with more distinct
     points than one block holds) are evaluated once and copied back, so
-    every value is still the loop's to the last bit."""
+    every value is still the loop's to the last bit. Atoms as the sources,
+    with unit weights scaled by their common one and an atom on a cell
+    centre, evaluated at the cell centres, are one more case."""
     rng = np.random.default_rng(21)
     grid = GridMeasure(Box.cube(np.zeros(3), 1.0), 8,
                        rng.uniform(0.0, 1.0, (8, 8, 8)))
@@ -42,12 +44,16 @@ def test_blocked_grid_potential_matches_the_point_loop(radius):
     cases += [np.repeat(base[:1], 2 * block + 3, axis=0),
               base[rng.integers(0, 7, size=3 * block)],
               np.concatenate([base, base[::-1]])]
-    for pts in cases:
-        args = (density, grid.cell_centers(), grid.cell_volume, pts, radius,
-                3.0)
+    calls = [(density, grid.cell_centers(), grid.cell_volume, pts, radius,
+              3.0) for pts in cases]
+    atoms = np.vstack([rng.uniform(-1.2, 1.2, (40, 3)),
+                       grid.cell_centers()[77]])
+    calls.append((np.ones(41), atoms, -0.5, grid.cell_centers(), radius, 3.0))
+    for args in calls:
         got = kernels.grid_potential_at_points(*args)
         want = _potential_oracle(*args)
-        assert np.array_equal(got, want), len(pts)
+        assert np.array_equal(got, want), len(args[3])
+    assert (got[77] == -np.inf) == (radius == 0.0)
 
 
 def test_chain_kernel_call_contract(quad, monkeypatch):

@@ -61,7 +61,7 @@ def test_n_rate_nonnegative_and_convex():
         a = GridMeasure(box, 3, rng.uniform(0, 0.9, (3, 3, 3)))
         b = GridMeasure(box, 3, rng.uniform(0, 0.9, (3, 3, 3)))
         va, vb = n_rate(a, ref), n_rate(b, ref)
-        vm = n_rate((a + b) * 0.5, ref)
+        vm = n_rate(a.with_density((a.density + b.density) * 0.5), ref)
         assert va >= 0.0 and vb >= 0.0
         assert vm <= 0.5 * (va + vb) + 1e-10
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mesogas.coulomb import energy, energy_offdiag, interaction
+from mesogas.coulomb import energy, energy_offdiag, potential_at_points
 from mesogas.equilibrium import Potential
 from mesogas.grids import AtomicMeasure, GridMeasure, Box, bl_distance, mass
 from mesogas.kernels import pairwise_g_sum
@@ -200,6 +200,20 @@ def test_tabulated_potential_rejects_moves_off_its_box(quad):
     assert not [w for w in caught if "drift" in str(w.message)]
 
 
+def test_tabulated_chains_draw_their_start_again_off_the_table(quad):
+    """A start with a point off the table has V = +inf and is drawn again
+    at the start scale, so every seed runs and stays on the table; a table
+    far smaller than that scale raises after a bounded number of draws."""
+    p = make_params(N=8, gamma=0.9, lam=0.05)
+    tab = _tabulated(quad, 1.0)
+    for seed in range(5):
+        states = gibbs_sample(p, tab, 40 * 8, 20 * 8, seed=seed)
+        assert len(states) == 20
+        assert all(np.all(tab.table.box.contains(s.points)) for s in states)
+    with pytest.raises(ValueError, match="no start of finite energy"):
+        gibbs_sample(p, _tabulated(quad, 0.01), 40 * 8, 20 * 8, seed=0)
+
+
 @pytest.mark.parametrize("kind, N", [("quadratic", 16), ("callable", 16),
                                      ("tabulated", 16), ("quadratic", 1)])
 def test_lockstep_chains_match_chains_run_alone(quad, kind, N):
@@ -259,14 +273,14 @@ def test_local_empirical_field_window_and_weight():
 
 def test_signed_energy_offdiag_expands_into_its_three_terms(thermal):
     """The energy ball's gap E_offdiag(mu - nu) is energy_offdiag with the
-    atoms' weight negated: E(mu) - 2 G(nu, mu) + w^2 sum_{i != j} g."""
+    atoms' weight negated: E(mu) - 2 G(nu, mu) + w^2 sum_{i != j} g, where
+    G(nu, mu) = w sum_i h^mu(x_i)."""
     mu = thermal(16, cells=16).measure
     rng = np.random.default_rng(8)
     pts = rng.uniform(-0.3, 0.3, (64, 3))
     w = 1.0 / 64
-    nu = AtomicMeasure(pts, w)
     got = energy_offdiag(AtomicMeasure(pts, -w), mu)
-    want = (energy(mu) - 2.0 * interaction(nu, mu)
+    want = (energy(mu) - 2.0 * w * potential_at_points(mu, pts).sum()
             + w ** 2 * pairwise_g_sum(pts, 3))
     assert got == pytest.approx(want, rel=1e-12)
 
