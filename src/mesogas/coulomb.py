@@ -344,13 +344,18 @@ def potential_at_points(m: GridMeasure, points: np.ndarray,
                         smear_radius: float | None = None) -> np.ndarray:
     """h^m at arbitrary points, each evaluation smeared at `smear_radius`.
 
-    `smear_radius=0` evaluates the raw kernel against cell centers.
+    `smear_radius=0` evaluates the raw kernel against cell centers. Each
+    distinct point is evaluated once (snapshots of one chain share every
+    particle that did not move) and its value copied to its repeats.
     """
     radius = default_smear_radius(m) if smear_radius is None else float(smear_radius)
-    pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
-    return kernels.grid_potential_at_points(
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    distinct, inverse = np.unique(pts, axis=0, return_inverse=True)
+    out = kernels.grid_potential_at_points(
         np.ascontiguousarray(m.density.ravel()), m.cell_centers(),
-        m.cell_volume, pts, radius, float(m.d))
+        m.cell_volume, distinct, radius, float(m.d))
+    # the inverse's shape differs across numpy versions
+    return out[inverse.reshape(-1)]
 
 
 def energy(m: Measure, smear: SmearKind | None = None) -> float:

@@ -330,17 +330,18 @@ def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
     length >= 2 is never cheaper than two trips through ground. Source->sink
     arcs shorter than 2 and the ground columns therefore carry the optimum.
 
-    The LP goes to HiGHS's dual simplex as a column-wise ``HighsLp``, with
-    no scipy wrapper in between. ``linprog``'s wrapper looped in Python
-    over every column to fill bound marginals that nothing here reads.
-    On the 536-site LP of `mesogas construct` at N = 320 (63,317 columns;
-    shared 2-CPU Xeon VM) a call went from 288 ms through ``linprog`` to
-    182 ms here, medians of four alternating rounds of nine calls, with
-    the same objective bit for bit. perfbench's ``construct`` median
-    ``wall_s`` went from 0.280 s to 0.187 s over ten alternating pairs.
-    HiGHS's ``run`` is now about three quarters of a call; filling the
-    ``HighsLp``, whose setters copy the arrays element by element, is
-    most of the rest.
+    The LP goes to HiGHS's dual simplex as column-wise arrays, in one call
+    of the binding's array ``passModel``, with no scipy wrapper and no
+    ``HighsLp`` in between: ``linprog``'s wrapper looped in Python over
+    every column, and the ``HighsLp`` setters copied each array element by
+    element. On the 536-site LP of `mesogas construct` at N = 320 (63,317
+    columns; shared 2-CPU Xeon VM) a call took 288 ms through ``linprog``,
+    then 129-169 ms through a ``HighsLp``, and takes 112-138 ms here
+    (medians of nine calls, four alternating rounds), with the same
+    objective bit for bit. HiGHS's ``run``, 97-127 ms in those rounds, is
+    now nearly all of a call. A model that ``passModel`` rejects raises
+    ``RuntimeError``: after one, ``run`` reports an optimum of 0 (a NaN
+    row bound) or crashes (a row index out of range).
 
     HiGHS runs without presolve, which can never reduce this LP: every arc
     column has exactly two unit entries, in two distinct balance rows, every
@@ -371,23 +372,12 @@ def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
     m = i.size
     # arc k is column k, with its two unit rows in ascending order; the
     # ground column of site k is column m + k, with row k alone
-    index_type = np.int32 if highs.kHighsIInf == np.iinfo(np.int32).max \
-        else np.int64
-    arcs = np.sort(np.stack([src[i], snk[j]], axis=1), axis=1)
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = m + n
-    lp.num_row_ = lp.a_matrix_.num_row_ = n
-    lp.col_cost_ = np.concatenate([dd[i, j], np.ones(n)])
-    lp.col_lower_ = np.zeros(m + n)
-    lp.col_upper_ = np.full(m + n, highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = np.abs(w)
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate(
-        [np.arange(0, 2 * m, 2), np.arange(2 * m, 2 * m + n + 1)]
-    ).astype(index_type)
-    lp.a_matrix_.index_ = np.concatenate(
-        [arcs.ravel(), np.arange(n)]).astype(index_type)
-    lp.a_matrix_.value_ = np.ones(2 * m + n)
+    tail, head = src[i], snk[j]
+    arcs = np.stack([np.minimum(tail, head), np.maximum(tail, head)], axis=1)
+    start = np.concatenate([np.arange(0, 2 * m, 2),
+                            np.arange(2 * m, 2 * m + n)]).astype(np.int32)
+    index = np.concatenate([arcs.ravel(), np.arange(n)]).astype(np.int32)
+    rhs = np.abs(w)
     dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options = {"output_flag": False, "log_to_console": False,
                "presolve": "off", "simplex_strategy": int(dual)}
@@ -395,7 +385,25 @@ def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
     for option, value in options.items():
         if solver.setOptionValue(option, value) != highs.HighsStatus.kOk:
             raise RuntimeError(f"HiGHS rejected option {option}={value!r}")
-    solver.passModel(lp)
+    # the array overload of C++ Highs::passModel, argument for argument
+    passed = solver.passModel(
+        m + n,                                  # num_col
+        n,                                      # num_row
+        2 * m + n,                              # a_num_nz
+        int(highs.MatrixFormat.kColwise),       # a_format
+        int(highs.ObjSense.kMinimize),          # sense
+        0.0,                                    # offset
+        np.concatenate([dd[i, j], np.ones(n)]),  # col_cost
+        np.zeros(m + n),                        # col_lower
+        np.full(m + n, highs.kHighsInf),        # col_upper
+        rhs,                                    # row_lower
+        rhs,                                    # row_upper
+        start,                                  # a_start, no end marker
+        index,                                  # a_index
+        np.ones(2 * m + n),                     # a_value
+        np.zeros(m + n, dtype=np.int32))        # integrality: continuous
+    if passed != highs.HighsStatus.kOk:
+        raise RuntimeError(f"HiGHS rejected the bl_distance LP: {passed.name}")
     solver.run()
     status = solver.getModelStatus()
     # the ground columns keep the LP feasible and every cost is positive

@@ -121,25 +121,22 @@ def grid_potential_at_points(density, centers, cellvol, points, radius, d):
     A grid measure passes its flat density, cell centers and cell volume;
     atoms pass weight 1 at each atom and their common weight as `cellvol`,
     which by symmetry of g_ball gives their smeared field at `points`.
-    radius == 0 evaluates the raw kernel, +inf at a coincident source. Each
-    distinct point is evaluated once (snapshots of one chain share every
-    particle that did not move) and its value copied to its repeats. Points
-    are evaluated in blocks of at most BLOCK_ENTRIES point-source pairs (at
-    least one point per block), each point's value with the arithmetic of a
-    point evaluated alone.
+    radius == 0 evaluates the raw kernel, +inf at a coincident source.
+    Points are evaluated in blocks of at most BLOCK_ENTRIES point-source
+    pairs (at least one point per block), each point's value with the
+    arithmetic of a point evaluated alone, so a caller may evaluate only
+    the distinct ones of repeated points.
     """
-    distinct, inverse = np.unique(points, axis=0, return_inverse=True)
-    out = np.zeros(distinct.shape[0])
+    out = np.zeros(points.shape[0])
     nz = density != 0.0
     centers = centers[nz]
     rho = density[nz]
     block = max(1, BLOCK_ENTRIES // max(rho.size, 1))
-    for s in range(0, distinct.shape[0], block):
-        diff = centers[None, :, :] - distinct[s:s + block, None, :]
+    for s in range(0, points.shape[0], block):
+        diff = centers[None, :, :] - points[s:s + block, None, :]
         r2 = np.einsum("qik,qik->qi", diff, diff)
         out[s:s + block] = cellvol * _rowdot(_ball_g(r2, radius, d), rho)
-    # the inverse's shape differs across numpy versions
-    return out[inverse.reshape(-1)]
+    return out
 
 
 def run_chain_quadratic(x, scale, beta, nweight, vcoef, d,

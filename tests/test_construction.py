@@ -1,7 +1,6 @@
 """Cube tilings, separated placements, and their certificates."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest

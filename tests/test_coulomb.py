@@ -14,7 +14,7 @@ from mesogas import coulomb, kernels
 from mesogas.coulomb import (GridKernel, SmearKind, SpaceParams,
                              ball_potential, ball_self_energy,
                              default_smear_radius, dense_kernel_matrix,
-                             energy, energy_offdiag, g_radial, grid_kernel,
+                             energy, energy_offdiag, g_radial,
                              potential_at_points, potential_field,
                              shell_potential,
                              shell_self_energy, shell_shell_interaction,
@@ -208,6 +208,31 @@ def test_potential_at_points_matches_bruteforce():
         want = float(sum(w * ball_potential(ri, radius, 3)
                          for w, ri in zip(weights, r)))
         assert val == pytest.approx(want, rel=1e-9)
+
+
+def test_potential_field_of_atoms_equals_its_single_point_evaluations():
+    """The atoms' field at every cell centre in one call equals each centre
+    evaluated alone, to the last bit."""
+    rng = np.random.default_rng(29)
+    like = GridMeasure.zeros(Box.cube(np.zeros(3), 1.0), 6)
+    atoms = AtomicMeasure(rng.uniform(-1.0, 1.0, (64, 3)), 0.25)
+    radius = default_smear_radius(like)
+    alone = [kernels.grid_potential_at_points(
+        np.ones(atoms.count), atoms.points, atoms.weight, centre[None],
+        radius, 3.0)[0] for centre in like.cell_centers()]
+    assert np.array_equal(potential_field(atoms, like).ravel(), alone)
+
+
+def test_potential_at_repeated_points_equals_each_point_alone():
+    """Repeated points, as chain snapshots share unmoved particles, are
+    evaluated once and copied back with the value of each point alone."""
+    rng = np.random.default_rng(31)
+    m = GridMeasure(Box.cube(np.zeros(3), 1.0), 4,
+                    rng.uniform(0.0, 1.0, (4, 4, 4)))
+    base = rng.uniform(-0.8, 0.8, (5, 3))
+    pts = base[rng.integers(0, 5, size=40)]
+    alone = [potential_at_points(m, p)[0] for p in pts]
+    assert np.array_equal(potential_at_points(m, pts), alone)
 
 
 def test_smeared_energy_equality_iff_separated():

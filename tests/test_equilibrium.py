@@ -1,7 +1,6 @@
 """Zero-temperature and thermal equilibrium solvers."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from mesogas.coulomb import SpaceParams
 from mesogas.equilibrium import (Potential, blowup, check_confining,
                                  solve_thermal, thermal_box)
-from mesogas.grids import Box, GridMeasure, dilate, mass
+from mesogas.grids import Box, GridMeasure, mass
 
 
 def test_potential_evaluation_and_json():

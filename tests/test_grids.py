@@ -10,6 +10,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist, pdist
 
+from mesogas import grids
 from mesogas.construction import ConstructionParams, construct
 from mesogas.grids import (AtomicMeasure, Box, GridMeasure, bl_distance,
                            box_mass, dilate, mass, measure_to_json,
@@ -308,20 +309,51 @@ def test_bl_distance_equals_the_linprog_transport_lp(pair):
     assert bl_distance(a, a) == 0.0
 
 
-def test_bl_distance_equals_the_linprog_transport_lp_of_construct():
-    """The same on the 536-site LP of ``mesogas construct`` at N = 320 and
-    seed 0, the LP that the benchmark's construct workload solves."""
+def _construct_lp(seed):
+    """The configuration and target whose LP `mesogas construct` solves at
+    N = 320, and the objective of that LP through ``linprog``."""
     box = Box.cube(np.zeros(3), 1.0)
     params = ConstructionParams(
         target=GridMeasure.uniform(box, 6, 1.0 / box.volume), N=320,
         cube_size=0.25, separation=0.2)
-    report = construct(params, seed=0)
-    target = params.target
+    report = construct(params, seed=seed)
+    want = _transport_lp(report.configuration, params.target,
+                         presolve=False)
+    return report, params.target, want
+
+
+def test_bl_distance_equals_the_linprog_transport_lp_of_construct():
+    """The same on the 536-site LP of ``mesogas construct`` at N = 320 and
+    seed 0, the LP that the benchmark's construct workload solves."""
+    report, target, want = _construct_lp(0)
     pts = np.vstack([report.configuration.points, target.cell_centers()])
     assert np.unique(pts, axis=0).shape[0] == 536
-    want = _transport_lp(report.configuration, target, presolve=False)
     assert bl_distance(report.configuration, target) == want
     assert report.bl_to_target == want
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bl_distance_equals_the_linprog_transport_lp_of_construct_seeds(seed):
+    """The same bit for bit at other seeds, whose configurations differ."""
+    report, target, want = _construct_lp(seed)
+    assert bl_distance(report.configuration, target) == want
+    assert report.bl_to_target == want
+
+
+def test_bl_distance_raises_when_highs_rejects_the_lp(monkeypatch):
+    """After a model that ``passModel`` rejects, ``run`` solves what is
+    left and can report an optimum of 0; the rejection raises instead."""
+    highs, _ = grids._lp_stack()
+
+    class Rejecting(highs._Highs):
+        def passModel(self, *args):
+            return highs.HighsStatus.kError
+
+    monkeypatch.setattr(highs, "_Highs", Rejecting)
+    a = AtomicMeasure([[0.0, 0.0, 0.0]])
+    b = AtomicMeasure([[0.5, 0.0, 0.0]])
+    with pytest.raises(RuntimeError, match="kError"):
+        bl_distance(a, b)
 
 
 def test_measure_to_json_fields():

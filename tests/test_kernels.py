@@ -28,8 +28,8 @@ def test_blocked_grid_potential_matches_the_point_loop(radius):
     """Point counts on both sides of a block boundary, on a grid with empty
     cells; radius 0 is the raw kernel. Repeated points (all equal,
     interleaved, and on both sides of a block edge, with more distinct
-    points than one block holds) are evaluated once and copied back, so
-    every value is still the loop's to the last bit. Atoms as the sources,
+    points than one block holds) each get the loop's value to the last
+    bit, wherever the block edges fall. Atoms as the sources,
     with unit weights scaled by their common one and an atom on a cell
     centre, evaluated at the cell centres, are one more case."""
     rng = np.random.default_rng(21)
