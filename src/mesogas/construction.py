@@ -1,10 +1,11 @@
 """Well-separated point configurations approximating a target measure.
 
-The generator tiles the target's box into cubes of side ``eta_bar``, assigns
-each cube an integer count by rounding N times its share of the target mass,
-and fills each cube with points drawn uniformly from the cube shrunk by a
-boundary layer tau_j, rejecting draws that land closer than tau_j to a point
-already accepted. With
+The generator tiles the target's box into cubes of side ``eta_bar``, held
+as an empty ``grids.GridMeasure`` whose cell j is cube j (``cube_lattice``).
+It assigns each cube an integer count by rounding N times its share of the
+target mass, and fills each cube with points drawn uniformly from the cube
+shrunk by a boundary layer tau_j, rejecting draws that land closer than
+tau_j to a point already accepted. With
 
     tau_j = separation * eta_bar * n_j^(-1/d)
 
@@ -46,8 +47,8 @@ from numpy.random import default_rng
 from . import kernels
 from .coulomb import (SpaceParams, ball_self_energy, energy_offdiag,
                       potential_field)
-from .grids import (AtomicMeasure, Box, GridMeasure, _lattice_centers,
-                    bl_distance, mass, resample)
+from .grids import (AtomicMeasure, Box, GridMeasure, bl_distance, mass,
+                    resample)
 
 # largest BL LP that `certify` solves; above it the target is coarsened
 BL_MAX_SITES = 1200
@@ -57,64 +58,26 @@ BL_MAX_SITES = 1200
 # tiling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CubeTiling:
-    """Partition of a box into per_axis^d closed cubes of equal side."""
-
-    box: Box
-    per_axis: int
-
-    @property
-    def d(self) -> int:
-        return self.box.d
-
-    @property
-    def count(self) -> int:
-        return self.per_axis ** self.d
-
-    @property
-    def size(self) -> float:
-        return float(2.0 * self.box.half_width[0] / self.per_axis)
-
-    def centers(self) -> np.ndarray:
-        return _lattice_centers(self.box.low, np.full(self.d, self.size),
-                                self.per_axis)
-
-    def cube_of(self, points: np.ndarray) -> np.ndarray:
-        """Flat index of the cube containing each point, -1 outside."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = (pts - self.box.low) / self.size
-        idx = np.floor(rel).astype(np.int64)
-        np.clip(idx, 0, self.per_axis - 1, out=idx)
-        inside = np.all(np.abs(pts - self.box.center)
-                        < self.box.half_width + 1e-12, axis=1)
-        flat = np.zeros(pts.shape[0], dtype=np.int64)
-        mult = 1
-        for k in range(self.d - 1, -1, -1):
-            flat += idx[:, k] * mult
-            mult *= self.per_axis
-        flat[~inside] = -1
-        return flat
-
-    @staticmethod
-    def build(box: Box, cube_size: float) -> "CubeTiling":
-        sides = 2.0 * box.half_width
-        if np.ptp(sides) > 1e-9 * sides[0]:
-            raise ValueError("tiling requires a cube-shaped box")
-        m = sides[0] / cube_size
-        per_axis = int(round(m))
-        if per_axis < 1 or abs(m - per_axis) > 1e-9 * max(m, 1.0):
-            raise ValueError(
-                f"cube size {cube_size} does not divide the box side {sides[0]}")
-        return CubeTiling(box, per_axis)
+def cube_lattice(box: Box, cube_size: float) -> GridMeasure:
+    """The tiling of a cube-shaped box by cubes of side cube_size, as an
+    empty lattice of ``grids``: cube j is cell j."""
+    sides = 2.0 * box.half_width
+    if np.ptp(sides) > 1e-9 * sides[0]:
+        raise ValueError("tiling requires a cube-shaped box")
+    m = sides[0] / cube_size
+    per_axis = int(round(m))
+    if per_axis < 1 or abs(m - per_axis) > 1e-9 * max(m, 1.0):
+        raise ValueError(
+            f"cube size {cube_size} does not divide the box side {sides[0]}")
+    return GridMeasure.zeros(box, per_axis)
 
 
-def cube_masses(nu: GridMeasure, tiling: CubeTiling) -> np.ndarray:
+def cube_masses(nu: GridMeasure, cubes: GridMeasure) -> np.ndarray:
     """Target mass per cube; each lattice cell counts toward the cube
     holding its center, so the values partition the total mass exactly."""
-    idx = tiling.cube_of(nu.cell_centers())
+    idx = cubes.cell_index(nu.cell_centers())
     w = nu.density.ravel() * nu.cell_volume
-    out = np.zeros(tiling.count)
+    out = np.zeros(cubes.density.size)
     ok = idx >= 0
     np.add.at(out, idx[ok], w[ok])
     return out
@@ -153,11 +116,7 @@ class ConstructionParams:
             raise ValueError("target must be a positive measure")
         if mass(self.target) <= 0:
             raise ValueError("target must carry positive mass")
-        CubeTiling.build(self.target.box, self.cube_size)
-
-    @property
-    def tiling(self) -> CubeTiling:
-        return CubeTiling.build(self.target.box, self.cube_size)
+        cube_lattice(self.target.box, self.cube_size)
 
     def effective_target(self) -> tuple[GridMeasure, float | None]:
         """Target after optional quantile truncation, plus the cap used."""
@@ -236,12 +195,6 @@ def round_counts(weights: np.ndarray, N: int) -> np.ndarray:
     return base
 
 
-def assign_counts(nu: GridMeasure, N: int, cube_size: float) -> np.ndarray:
-    """Per-cube counts for the tiling of nu's box by cubes of side cube_size."""
-    tiling = CubeTiling.build(nu.box, cube_size)
-    return round_counts(cube_masses(nu, tiling), N)
-
-
 def tau_values(counts: np.ndarray, cube_size: float, separation: float,
                d: int) -> np.ndarray:
     """Boundary-layer/separation radius per cube; zero where the count is."""
@@ -252,24 +205,32 @@ def tau_values(counts: np.ndarray, cube_size: float, separation: float,
     return tau
 
 
+def _occupied_cubes(counts: np.ndarray, cubes: GridMeasure,
+                    separation: float):
+    """Yield (j, n_j, tau_j, center_j, half) for each occupied cube j in
+    index order, where half is the half side of cube j shrunk by its
+    boundary layer tau_j. Raises on reaching a cube whose layer swallows it
+    or whose n_j disjoint balls of radius tau_j/2 cannot fit in it."""
+    d, eta = cubes.d, float(cubes.spacing[0])
+    taus = tau_values(counts, eta, separation, d)
+    centers = cubes.cell_centers()
+    ball_volume = SpaceParams(d).ball_volume
+    for j in np.flatnonzero(counts > 0):
+        n_j, tau = int(counts[j]), taus[j]
+        if eta - 2.0 * tau <= 0:
+            raise ValueError(
+                f"placement infeasible in cube {j}: boundary layer "
+                f"{tau:.4g} swallows the cube of side {eta:.4g}; "
+                "reduce the separation factor")
+        if n_j * (ball_volume * (0.5 * tau) ** d) > (eta - tau) ** d:
+            raise ValueError(
+                f"placement infeasible in cube {j}: {n_j} disjoint "
+                f"balls of radius {0.5 * tau:.4g} cannot fit; "
+                "reduce the separation factor")
+        yield int(j), n_j, tau, centers[j], 0.5 * eta - tau
 
-def _check_packing(n_j: int, cube_size: float, tau: float, d: int,
-                   cube_index: int):
-    inner = cube_size - 2.0 * tau
-    if inner <= 0:
-        raise ValueError(
-            f"placement infeasible in cube {cube_index}: boundary layer "
-            f"{tau:.4g} swallows the cube of side {cube_size:.4g}; "
-            "reduce the separation factor")
-    ball = SpaceParams(d).ball_volume * (0.5 * tau) ** d
-    if n_j * ball > (cube_size - tau) ** d:
-        raise ValueError(
-            f"placement infeasible in cube {cube_index}: {n_j} disjoint "
-            f"balls of radius {0.5 * tau:.4g} cannot fit; "
-            "reduce the separation factor")
 
-
-def place_points(counts: np.ndarray, tiling: CubeTiling, separation: float,
+def place_points(counts: np.ndarray, cubes: GridMeasure, separation: float,
                  seed: int) -> AtomicMeasure:
     """Sequential rejection placement, cube by cube.
 
@@ -280,21 +241,15 @@ def place_points(counts: np.ndarray, tiling: CubeTiling, separation: float,
     packing pre-check.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (tiling.count,):
+    if counts.shape != (cubes.density.size,):
         raise ValueError("counts do not match the tiling")
-    d = tiling.d
-    eta = tiling.size
-    centers = tiling.centers()
-    taus = tau_values(counts, eta, separation, d)
+    d = cubes.d
     total = int(counts.sum())
     out = np.empty((total, d))
     pos = 0
-    for j in np.flatnonzero(counts > 0):
-        n_j = int(counts[j])
-        tau = taus[j]
-        _check_packing(n_j, eta, tau, d, int(j))
-        rng = default_rng((seed, int(j)))
-        half = 0.5 * eta - tau
+    for j, n_j, tau, center, half in _occupied_cubes(counts, cubes,
+                                                     separation):
+        rng = default_rng((seed, j))
         placed = np.empty((n_j, d))
         got = 0
         budget = 100 * n_j
@@ -303,7 +258,7 @@ def place_points(counts: np.ndarray, tiling: CubeTiling, separation: float,
                 raise ValueError(
                     f"placement budget exhausted in cube {j} after accepting "
                     f"{got}/{n_j} points; reduce the separation factor")
-            y = centers[j] + rng.uniform(-half, half, size=d)
+            y = center + rng.uniform(-half, half, size=d)
             budget -= 1
             if got == 0 or np.min(
                     np.linalg.norm(placed[:got] - y, axis=1)) >= tau:
@@ -377,14 +332,14 @@ def certify(configuration: AtomicMeasure, nu: GridMeasure, cube_size: float,
     against C/(N eta^d) + C eta + c eta^2 with the given constants.
     """
     nu = _normalized(nu)
-    tiling = CubeTiling.build(nu.box, cube_size)
-    d = tiling.d
-    eta = tiling.size
+    cubes = cube_lattice(nu.box, cube_size)
+    d = cubes.d
+    eta = float(cubes.spacing[0])
     pts = configuration.points
     n_pts = configuration.count
 
-    cube_idx = tiling.cube_of(pts)
-    counts = np.zeros(tiling.count, dtype=np.int64)
+    cube_idx = cubes.cell_index(pts)
+    counts = np.zeros(cubes.density.size, dtype=np.int64)
     inside = cube_idx >= 0
     np.add.at(counts, cube_idx[inside], 1)
     taus = tau_values(counts, eta, separation, d)
@@ -394,7 +349,7 @@ def certify(configuration: AtomicMeasure, nu: GridMeasure, cube_size: float,
         if n_pts > 1 else math.inf
     separation_ok = bool(inside.all()) and min_sep >= tau_min
 
-    centers = tiling.centers()
+    centers = cubes.cell_centers()
     boundary_ok = bool(inside.all())
     if boundary_ok and n_pts > 0:
         gap_to_wall = 0.5 * eta - np.max(
@@ -476,7 +431,6 @@ class VolumeEstimate:
     log_volume_per_N: float
     target: float
     multinomial_per_N: float
-    sanov_per_N: float
     stirling_gap_per_N: float
     separation_loss_per_N: float
     counts: np.ndarray
@@ -499,12 +453,12 @@ def volume_estimate(nu: GridMeasure, mu_ref: GridMeasure, N: int,
         raise ValueError("need at least one trial")
     probes = 128
     nu = _normalized(nu)
-    tiling = CubeTiling.build(nu.box, cube_size)
+    cubes = cube_lattice(nu.box, cube_size)
     if not mu_ref.box.same_geometry(nu.box):
         raise ValueError("reference must live on the target's box")
-    d, eta = tiling.d, tiling.size
-    counts = round_counts(cube_masses(nu, tiling), N)
-    q = cube_masses(mu_ref, tiling)
+    d, eta = cubes.d, float(cubes.spacing[0])
+    counts = round_counts(cube_masses(nu, cubes), N)
+    q = cube_masses(mu_ref, cubes)
     q = q / q.sum()
 
     occ = counts > 0
@@ -516,32 +470,27 @@ def volume_estimate(nu: GridMeasure, mu_ref: GridMeasure, N: int,
     p = counts / N
     sanov = float(-(p[occ] * np.log(p[occ] / q[occ])).sum())
 
-    taus = tau_values(counts, eta, separation, d)
-    centers = tiling.centers()
     rng = default_rng(seed)
     loss = 0.0
-    for j in np.flatnonzero(occ):
-        n_j = int(counts[j])
-        tau = taus[j]
-        _check_packing(n_j, eta, tau, d, int(j))
-        half = 0.5 * eta - tau
+    for _, n_j, tau, center, half in _occupied_cubes(counts, cubes,
+                                                     separation):
         loss += n_j * d * math.log(2.0 * half / eta)
         if n_j == 1:
             continue
         per_trial = np.zeros(trials)
         for t in range(trials):
             placed = np.empty((n_j, d))
-            placed[0] = centers[j] + rng.uniform(-half, half, size=d)
+            placed[0] = center + rng.uniform(-half, half, size=d)
             acc = 0.0
             for pth in range(1, n_j):
-                cand = centers[j] + rng.uniform(-half, half, size=(probes, d))
+                cand = center + rng.uniform(-half, half, size=(probes, d))
                 dist = np.linalg.norm(
                     cand[:, None, :] - placed[None, :pth, :], axis=2)
                 ok = np.all(dist >= tau, axis=1)
                 frac = ok.mean()
                 if frac == 0.0:
                     frac = 0.5 / probes
-                    cand_ok = centers[j] + rng.uniform(-half, half, size=d)
+                    cand_ok = center + rng.uniform(-half, half, size=d)
                 else:
                     cand_ok = cand[np.flatnonzero(ok)[0]]
                 acc += math.log(frac)
@@ -556,7 +505,6 @@ def volume_estimate(nu: GridMeasure, mu_ref: GridMeasure, N: int,
         log_volume_per_N=multinomial_per_N + sep_loss_per_N,
         target=target,
         multinomial_per_N=multinomial_per_N,
-        sanov_per_N=sanov,
         stirling_gap_per_N=multinomial_per_N - sanov,
         separation_loss_per_N=sep_loss_per_N,
         counts=counts,
@@ -586,9 +534,9 @@ def construct(params: ConstructionParams, seed: int,
     in the report.
     """
     target, level = params.effective_target()
-    tiling = params.tiling
-    counts = round_counts(cube_masses(target, tiling), params.N)
-    config = place_points(counts, tiling, params.separation, seed)
+    cubes = cube_lattice(target.box, params.cube_size)
+    counts = round_counts(cube_masses(target, cubes), params.N)
+    config = place_points(counts, cubes, params.separation, seed)
     report = certify(config, target, params.cube_size, params.separation,
                      bound_constants=bound_constants,
                      truncation_level=level)

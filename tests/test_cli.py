@@ -293,6 +293,38 @@ def test_infeasible_t_target_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_infeasible_construct_and_kappa_check_end_without_a_traceback(
+        tmp_path, capsys):
+    """A boundary layer of 0.45 swallows a cube of side 0.5, so construct
+    exits 2. With N = 1 the window outweighs the whole gas, so verify's
+    kappa check cannot be posed: it is recorded as failed, with the error."""
+    construct_cfg = {"d": 3, "construction": {
+        "half_width": 1.0, "target_cells": 4, "N": 8, "cube_size": 0.5,
+        "separation": 0.9, "volume_trials": 0}}
+    verify_cfg = {"d": 3, "R": 1.0,
+                  "grid": {"N": [1], "gamma": [1.0], "lambda": [0.05]},
+                  "solver": {"cells_per_axis": 4, "window_cells": 4,
+                             "exterior_factor": 2},
+                  "ball": {"type": "energy"}}
+    codes = []
+    for command, obj in (("construct", construct_cfg), ("verify", verify_cfg)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(obj))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            codes.append(main([command, "--config", str(path),
+                               "--out", str(tmp_path / "out")]))
+    assert codes == [2, 1]
+    captured = capsys.readouterr()
+    assert "configuration error: infeasible construction" in captured.err
+    assert "Traceback" not in captured.err
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    kappa, = [c for c in report["checks"] if c["name"] == "kappa-closed-form"]
+    assert not kappa["passed"] and kappa["residual"] is None
+    assert "window mass exceeds the total mass" in kappa["error"]
+    assert "FAIL kappa-closed-form: window mass" in captured.out
+
+
 @pytest.mark.parametrize("command", ["verify", "sweep", "rate"])
 @pytest.mark.parametrize("solver", [{"window_cells": 5, "exterior_factor": 2},
                                     {"window_cells": 4, "exterior_factor": 1}])

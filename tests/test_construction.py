@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from mesogas import kernels
-from mesogas.construction import (ConstructionParams, CubeTiling,
-                                  assign_counts, certify, construct,
-                                  cube_masses, fit_potential_bound,
-                                  place_points, round_counts,
-                                  separation_radius, tau_values,
-                                  volume_estimate)
+from mesogas.construction import (ConstructionParams, certify, construct,
+                                  cube_lattice, cube_masses,
+                                  fit_potential_bound, place_points,
+                                  round_counts, separation_radius,
+                                  tau_values, volume_estimate)
 from mesogas.grids import AtomicMeasure, Box, GridMeasure, mass
 
 BOX = Box.cube(np.zeros(3), 1.0)
@@ -22,18 +21,26 @@ def uniform_target(cells=4):
 
 
 def test_tiling_geometry():
-    t = CubeTiling.build(BOX, 0.5)
-    assert t.count == 64
-    assert t.size == pytest.approx(0.5)
-    centers = t.centers()
+    cubes = cube_lattice(BOX, 0.5)
+    assert cubes.density.size == 64
+    assert cubes.spacing[0] == pytest.approx(0.5)
+    centers = cubes.cell_centers()
     assert centers.shape == (64, 3)
-    idx = t.cube_of(np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]]))
+    idx = cubes.cell_index(np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]]))
     assert idx[0] >= 0 and idx[1] == -1
+    # the box is open: a point on its outer face lies in no cube
+    assert cubes.cell_index(np.array([[1.0, 0.0, 0.0]]))[0] == -1
+    # every cell of a finer target falls in the cube centred within half
+    # a side of it
+    fine = uniform_target(8).cell_centers()
+    idx = cubes.cell_index(fine)
+    assert np.all(idx >= 0)
+    assert np.all(np.max(np.abs(fine - centers[idx]), axis=1) < 0.25)
 
 
 def test_tiling_requires_divisibility():
     with pytest.raises(ValueError):
-        CubeTiling.build(BOX, 0.3)
+        cube_lattice(BOX, 0.3)
 
 
 def test_round_counts_total_and_priority():
@@ -48,8 +55,8 @@ def test_round_counts_total_and_priority():
 
 def test_assign_counts_follows_target_mass():
     target = uniform_target(4)
-    tiling = CubeTiling.build(BOX, 0.5)
-    counts = assign_counts(target, 128, tiling.size)
+    cubes = cube_lattice(BOX, 0.5)
+    counts = round_counts(cube_masses(target, cubes), 128)
     assert counts.sum() == 128
     assert np.all(counts == 2)
 
@@ -69,29 +76,29 @@ def test_place_points_respects_hard_constraints():
     target = uniform_target(4)
     params = ConstructionParams(target=target, N=96, cube_size=0.5,
                                 separation=0.25)
-    tiling = params.tiling
-    counts = assign_counts(target, 96, tiling.size)
-    config = place_points(counts, tiling, 0.25, seed=5)
+    cubes = cube_lattice(target.box, params.cube_size)
+    counts = round_counts(cube_masses(target, cubes), 96)
+    config = place_points(counts, cubes, 0.25, seed=5)
     assert config.count == 96
     assert config.weight == pytest.approx(1.0 / 96)
-    taus = tau_values(counts, tiling.size, 0.25, 3)
-    tau_min = separation_radius(counts, tiling.size, 0.25, 3)
+    taus = tau_values(counts, cubes.spacing[0], 0.25, 3)
+    tau_min = separation_radius(counts, cubes.spacing[0], 0.25, 3)
     assert kernels.min_pairwise_distance(config.points) >= tau_min
-    idx = tiling.cube_of(config.points)
-    centers = tiling.centers()
-    wall = 0.5 * tiling.size - np.max(np.abs(config.points - centers[idx]),
+    idx = cubes.cell_index(config.points)
+    centers = cubes.cell_centers()
+    wall = 0.5 * cubes.spacing[0] - np.max(np.abs(config.points - centers[idx]),
                                       axis=1)
     assert np.all(wall >= taus[idx] - 1e-12)
 
 
 def test_place_points_is_deterministic():
     target = uniform_target(2)
-    tiling = CubeTiling.build(BOX, 1.0)
-    counts = assign_counts(target, 40, tiling.size)
-    a = place_points(counts, tiling, 0.2, seed=9)
-    b = place_points(counts, tiling, 0.2, seed=9)
+    cubes = cube_lattice(BOX, 1.0)
+    counts = round_counts(cube_masses(target, cubes), 40)
+    a = place_points(counts, cubes, 0.2, seed=9)
+    b = place_points(counts, cubes, 0.2, seed=9)
     assert np.array_equal(a.points, b.points)
-    c = place_points(counts, tiling, 0.2, seed=10)
+    c = place_points(counts, cubes, 0.2, seed=10)
     assert not np.array_equal(a.points, c.points)
 
 
@@ -107,9 +114,9 @@ def test_certify_exact_quantization_bl_bound():
     """Placing each cube's points at its center transports mass at most
     half the cube diagonal, and the certificate's BL distance agrees."""
     target = uniform_target(4)
-    tiling = CubeTiling.build(BOX, 0.5)
-    counts = assign_counts(target, 64, tiling.size)
-    config = AtomicMeasure(tiling.centers()[counts > 0], 1.0 / 64)
+    cubes = cube_lattice(BOX, 0.5)
+    counts = round_counts(cube_masses(target, cubes), 64)
+    config = AtomicMeasure(cubes.cell_centers()[counts > 0], 1.0 / 64)
     report = certify(config, target, 0.5, 0.2)
     assert report.bl_to_target <= 0.5 * math.sqrt(3) / 2 + 1e-9
 
@@ -217,6 +224,6 @@ def test_truncated_target_keeps_quantile_mass():
 
 def test_cube_masses_sum_to_total():
     target = uniform_target(4)
-    tiling = CubeTiling.build(BOX, 0.5)
-    masses = cube_masses(target, tiling)
+    cubes = cube_lattice(BOX, 0.5)
+    masses = cube_masses(target, cubes)
     assert masses.sum() == pytest.approx(mass(target), rel=1e-12)

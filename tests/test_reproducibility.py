@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from mesogas.cli import main
-from mesogas.construction import (CubeTiling, certify, cube_masses,
+from mesogas.construction import (certify, cube_lattice, cube_masses,
                                   energy_gap, place_points, round_counts,
                                   separation_radius)
 from mesogas.coulomb import grid_kernel
@@ -108,9 +108,17 @@ def _construct_instance():
     """The construct instance of the benchmark: N = 320 on a 6-cell target."""
     box = Box.cube(np.zeros(3), 1.0)
     target = GridMeasure.uniform(box, 6, 1.0 / box.volume)
-    tiling = CubeTiling.build(box, 0.25)
-    counts = round_counts(cube_masses(target, tiling), 320)
-    return counts, place_points(counts, tiling, 0.2, seed=0), target
+    cubes = cube_lattice(box, 0.25)
+    counts = round_counts(cube_masses(target, cubes), 320)
+    return counts, place_points(counts, cubes, 0.2, seed=0), target
+
+
+def test_construction_placement_pinned():
+    """Every bit of the placed points: the per-cube RNG streams and the
+    order in which the cubes are filled."""
+    _, config, _ = _construct_instance()
+    assert hashlib.sha256(config.points.tobytes()).hexdigest() == (
+        "4bd31201c9b0b318fdc772e2e47fb0dc72ebb9c0518472c8a7505bf1ffa85132")
 
 
 def test_construction_energy_gap_pinned():
