@@ -15,7 +15,8 @@ at distance >= tau_j by construction, and points in different cubes are at
 distance >= tau_i + tau_j because each respects its own boundary layer; the
 global minimum separation is therefore at least min_j tau_j, exactly.
 
-Three certificates accompany a configuration:
+Three certificates accompany a configuration, all computed by ``certify``
+in one pass over the once-normalized target:
 
 * proximity: bounded-Lipschitz distance between the empirical measure and
   the (normalized) target;
@@ -23,17 +24,19 @@ Three certificates accompany a configuration:
   replaced by a uniform ball of radius tau_min/2. The separation guarantees
   make the ball-ball cross terms equal to the raw kernel (Newton), so only
   the self-energies change and the quantity is finite and exactly computable;
-* potential: the sup over lattice nodes of |h^(empirical* - target)|,
-  compared against a bound of the form C/(N eta^d) + C eta + c eta^2 whose
-  constants are fitted on calibration runs and then held out.
+* potential: the sup over lattice nodes of |h^(empirical* - target)|, with
+  the atoms smeared at the same radius, compared against a bound of the form
+  C/(N eta^d) + C eta + c eta^2 whose constants are fitted on calibration
+  runs and then held out.
 
 A separate volume estimate quantifies how much product-reference-measure
 volume the constrained placement retains, as a per-N log against the
-relative-entropy target -ent[target | reference]: the combinatorial factor
-is evaluated exactly with log-gamma, the volume lost to boundary layers and
-separation balls is estimated by Monte Carlo, and the finite-N gap between
-the exact combinatorics and its large-N limit is reported separately so the
-deficit is never hidden inside the estimate.
+relative-entropy target -ent[target | reference], for a reference on the
+target's own lattice: the combinatorial factor is evaluated exactly with
+log-gamma, the volume lost to boundary layers and separation balls is
+estimated by Monte Carlo, and the finite-N gap between the exact
+combinatorics and its large-N limit is reported separately so the deficit
+is never hidden inside the estimate.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from . import kernels
 from .coulomb import (SpaceParams, ball_self_energy, energy_offdiag,
                       potential_field)
 from .grids import (AtomicMeasure, Box, GridMeasure, bl_distance, mass,
-                    resample)
+                    relative_entropy, resample)
 
 # largest BL LP that `certify` solves; above it the target is coarsened
 BL_MAX_SITES = 1200
@@ -288,36 +291,6 @@ def separation_radius(counts: np.ndarray, cube_size: float,
     return float(taus[occ].min())
 
 
-def _smear_for(tau_min: float, fallback: float) -> float:
-    return 0.5 * tau_min if tau_min > 0 else fallback
-
-
-def energy_gap(configuration: AtomicMeasure, nu: GridMeasure,
-               tau_min: float) -> tuple[float, float]:
-    """E(empirical* - nu) with atoms smeared at tau_min/2, and that radius.
-
-    Below the guaranteed separation the smeared balls are disjoint, so the
-    cross pair terms equal the raw kernel (Newton) and only the per-atom
-    self-energies, added to E^{neq}(empirical - nu), depend on the radius.
-    """
-    nu = _normalized(nu)
-    r_s = _smear_for(tau_min, 0.25 * nu.spacing[0])
-    n, w = configuration.count, configuration.weight
-    gap = energy_offdiag(configuration, nu.with_density(-nu.density, signed=True),
-                         smear_radius=r_s)
-    return gap + n * w ** 2 * ball_self_energy(r_s, nu.d), r_s
-
-
-def potential_gap(configuration: AtomicMeasure, nu: GridMeasure,
-                  tau_min: float) -> tuple[float, float]:
-    """sup over nu's lattice nodes of |h^(empirical* - nu)|, and the radius."""
-    nu = _normalized(nu)
-    r_s = _smear_for(tau_min, 0.25 * nu.spacing[0])
-    h_emp = potential_field(configuration, nu, smear_radius=r_s)
-    h_nu = potential_field(nu, nu)
-    return float(np.max(np.abs(h_emp - h_nu))), r_s
-
-
 def certify(configuration: AtomicMeasure, nu: GridMeasure, cube_size: float,
             separation: float, bound_constants: tuple[float, float] | None = None,
             truncation_level: float | None = None) -> ConstructionReport:
@@ -328,8 +301,10 @@ def certify(configuration: AtomicMeasure, nu: GridMeasure, cube_size: float,
     boundary, where the counts n_j are read off the configuration itself.
     Quantitative certificates: BL distance to the normalized target (on a
     coarsened lattice when the exact LP would exceed ``BL_MAX_SITES``), the
-    smeared energy gap, and the sup-node potential gap, optionally compared
-    against C/(N eta^d) + C eta + c eta^2 with the given constants.
+    energy gap and the sup-node potential gap, optionally compared against
+    C/(N eta^d) + C eta + c eta^2 with the given constants. The target is
+    normalized once, and both gaps smear the atoms at one radius, tau_min/2
+    (a quarter of the target's spacing when tau_min is 0).
     """
     nu = _normalized(nu)
     cubes = cube_lattice(nu.box, cube_size)
@@ -364,8 +339,15 @@ def certify(configuration: AtomicMeasure, nu: GridMeasure, cube_size: float,
         bl_nu = _normalized(resample(nu, nu.box, cpa))
     bl = bl_distance(configuration, bl_nu, max_sites=BL_MAX_SITES)
 
-    e_gap, r_s = energy_gap(configuration, nu, tau_min)
-    max_gap, _ = potential_gap(configuration, nu, tau_min)
+    # energy: E^{neq}(empirical - nu) plus the smeared atoms' self-energies
+    r_s = 0.5 * tau_min if tau_min > 0 else 0.25 * nu.spacing[0]
+    e_gap = energy_offdiag(configuration,
+                           nu.with_density(-nu.density, signed=True),
+                           smear_radius=r_s) \
+        + n_pts * configuration.weight ** 2 * ball_self_energy(r_s, d)
+    h_gap = potential_field(configuration, nu, smear_radius=r_s) \
+        - potential_field(nu, nu)
+    max_gap = float(np.max(np.abs(h_gap)))
 
     bound = None
     if bound_constants is not None:
@@ -433,7 +415,6 @@ class VolumeEstimate:
     multinomial_per_N: float
     stirling_gap_per_N: float
     separation_loss_per_N: float
-    counts: np.ndarray
 
 
 def volume_estimate(nu: GridMeasure, mu_ref: GridMeasure, N: int,
@@ -446,16 +427,16 @@ def volume_estimate(nu: GridMeasure, mu_ref: GridMeasure, N: int,
     and to the sequential separation balls is estimated by Monte Carlo:
     within a trial the points are placed sequentially and the admissible
     fraction before each placement is measured with 128 uniform probes. The
-    reference is assumed close to constant within cubes (it enters through
-    cube masses only).
+    reference lives on the target's lattice and is assumed close to
+    constant within cubes (the volume sees its cube masses only).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     probes = 128
+    if not mu_ref.same_lattice(nu):
+        raise ValueError("reference must live on the target's lattice")
     nu = _normalized(nu)
     cubes = cube_lattice(nu.box, cube_size)
-    if not mu_ref.box.same_geometry(nu.box):
-        raise ValueError("reference must live on the target's box")
     d, eta = cubes.d, float(cubes.spacing[0])
     counts = round_counts(cube_masses(nu, cubes), N)
     q = cube_masses(mu_ref, cubes)
@@ -500,24 +481,13 @@ def volume_estimate(nu: GridMeasure, mu_ref: GridMeasure, N: int,
 
     multinomial_per_N = log_multi / N
     sep_loss_per_N = loss / N
-    target = float(-_relative_entropy_prob(nu, mu_ref))
     return VolumeEstimate(
         log_volume_per_N=multinomial_per_N + sep_loss_per_N,
-        target=target,
+        target=float(-relative_entropy(nu, _normalized(mu_ref))),
         multinomial_per_N=multinomial_per_N,
         stirling_gap_per_N=multinomial_per_N - sanov,
         separation_loss_per_N=sep_loss_per_N,
-        counts=counts,
     )
-
-
-def _relative_entropy_prob(nu: GridMeasure, mu_ref: GridMeasure) -> float:
-    from .grids import relative_entropy
-    a = _normalized(nu)
-    b = _normalized(mu_ref)
-    if not a.same_lattice(b):
-        b = _normalized(resample(b, a.box, a.cells_per_axis))
-    return relative_entropy(a, b)
 
 
 # ---------------------------------------------------------------------------

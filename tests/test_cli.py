@@ -294,10 +294,12 @@ def test_infeasible_t_target_exits_2(tmp_path, capsys):
 
 
 def test_infeasible_construct_and_kappa_check_end_without_a_traceback(
-        tmp_path, capsys):
+        tmp_path, capsys, monkeypatch):
     """A boundary layer of 0.45 swallows a cube of side 0.5, so construct
-    exits 2. With N = 1 the window outweighs the whole gas, so verify's
-    kappa check cannot be posed: it is recorded as failed, with the error."""
+    exits 2. With N = 1 the truncation box holds less dilated mass than a
+    window of density mu_V(0)/2 would, so verify's kappa check gives the
+    window half the held mass and is posed. A kappa_minimizer that raises
+    is recorded as a failed check, with the error."""
     construct_cfg = {"d": 3, "construction": {
         "half_width": 1.0, "target_cells": 4, "N": 8, "cube_size": 0.5,
         "separation": 0.9, "volume_trials": 0}}
@@ -306,20 +308,38 @@ def test_infeasible_construct_and_kappa_check_end_without_a_traceback(
                   "solver": {"cells_per_axis": 4, "window_cells": 4,
                              "exterior_factor": 2},
                   "ball": {"type": "energy"}}
-    codes = []
-    for command, obj in (("construct", construct_cfg), ("verify", verify_cfg)):
+
+    def run(command, obj, out):
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(obj))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            codes.append(main([command, "--config", str(path),
-                               "--out", str(tmp_path / "out")]))
-    assert codes == [2, 1]
+            return main([command, "--config", str(path),
+                         "--out", str(tmp_path / out)])
+
+    def kappa_check(out):
+        report = json.loads((tmp_path / out / "verify.json").read_text())
+        check, = [c for c in report["checks"]
+                  if c["name"] == "kappa-closed-form"]
+        return check
+
+    # 4 cells per axis are too coarse for the analytic equilibrium density
+    assert [run("construct", construct_cfg, "construct"),
+            run("verify", verify_cfg, "posed")] == [2, 1]
+    assert "configuration error: infeasible construction" in (
+        capsys.readouterr().err)
+    assert kappa_check("posed")["passed"]
+
+    from mesogas import rates
+
+    def raising(*args):
+        raise ValueError("window mass exceeds the total mass (planted)")
+
+    monkeypatch.setattr(rates, "kappa_minimizer", raising)
+    assert run("verify", verify_cfg, "raised") == 1
     captured = capsys.readouterr()
-    assert "configuration error: infeasible construction" in captured.err
     assert "Traceback" not in captured.err
-    report = json.loads((tmp_path / "out" / "verify.json").read_text())
-    kappa, = [c for c in report["checks"] if c["name"] == "kappa-closed-form"]
+    kappa = kappa_check("raised")
     assert not kappa["passed"] and kappa["residual"] is None
     assert "window mass exceeds the total mass" in kappa["error"]
     assert "FAIL kappa-closed-form: window mass" in captured.out
@@ -422,6 +442,22 @@ def test_verify_smearing_check_fails_on_a_wrong_shell_self_energy(
         first = cli._verify_checks(ExperimentConfig.from_json(base_config()))[0]
     assert first["name"] == "smearing-shell-self-energy"
     assert not first["passed"]
+
+
+def test_verify_newton_check_fails_on_a_wrong_exterior_source(monkeypatch):
+    """The Newton check averages one shell's potential over a disjoint
+    shell by quadrature, so a wrong source (here a ball of four times the
+    shell's radius, which the other shell cuts into) fails it."""
+    from mesogas import coulomb
+    ball = coulomb.ball_potential
+    monkeypatch.setattr(coulomb, "shell_potential",
+                        lambda r, R, d: ball(r, 4.0 * R, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        second = cli._verify_checks(
+            ExperimentConfig.from_json(base_config()))[1]
+    assert second["name"] == "smearing-newton-exterior"
+    assert not second["passed"] and second["residual"] > 0.1
 
 
 def test_verify_records_warnings_raised_by_its_checks(config_path, tmp_path,

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from mesogas import kernels
-from mesogas.construction import (ConstructionParams, certify, construct,
+from mesogas.construction import (BL_MAX_SITES, ConstructionParams,
+                                  _normalized, certify, construct,
                                   cube_lattice, cube_masses,
                                   fit_potential_bound, place_points,
                                   round_counts, separation_radius,
                                   tau_values, volume_estimate)
-from mesogas.grids import AtomicMeasure, Box, GridMeasure, mass
+from mesogas.grids import (AtomicMeasure, Box, GridMeasure, bl_distance,
+                           mass, resample)
 
 BOX = Box.cube(np.zeros(3), 1.0)
 
@@ -121,6 +123,21 @@ def test_certify_exact_quantization_bl_bound():
     assert report.bl_to_target <= 0.5 * math.sqrt(3) / 2 + 1e-9
 
 
+def test_certify_coarsens_the_target_of_an_oversized_bl_lp():
+    """11^3 target cells and 8 atoms exceed BL_MAX_SITES, so certify
+    measures the BL distance to the normalized target resampled on the
+    largest lattice that fits beside the atoms: 10^3 cells."""
+    target = GridMeasure.from_function(
+        BOX, 11, lambda p: 1.0 + 0.5 * np.cos(2.0 * p).prod(axis=1))
+    cubes = cube_lattice(BOX, 1.0)
+    counts = round_counts(cube_masses(target, cubes), 8)
+    config = place_points(counts, cubes, 0.2, seed=4)
+    assert 10 ** 3 + config.count <= BL_MAX_SITES < 11 ** 3 + config.count
+    report = certify(config, target, 1.0, 0.2)
+    coarse = _normalized(resample(_normalized(target), BOX, 10))
+    assert report.bl_to_target == bl_distance(config, coarse)
+
+
 def test_certify_flags_separation_violation():
     target = uniform_target(2)
     clump = AtomicMeasure(np.full((4, 3), 0.01), 0.25)
@@ -170,7 +187,6 @@ def test_volume_estimate_anatomy():
     ref = uniform_target(4)
     ve = volume_estimate(target, ref, N=500, cube_size=0.5, separation=0.1,
                          trials=3, seed=2)
-    assert ve.counts.sum() == 500
     assert ve.target == pytest.approx(0.0, abs=1e-12)
     assert ve.stirling_gap_per_N <= 0.0
     assert ve.separation_loss_per_N < 0.0
@@ -178,6 +194,10 @@ def test_volume_estimate_anatomy():
         ve.multinomial_per_N + ve.separation_loss_per_N, rel=1e-12)
     with pytest.raises(ValueError):
         volume_estimate(target, ref, 500, 0.5, 0.1, trials=0, seed=2)
+    # the reference must share the target's lattice
+    with pytest.raises(ValueError, match="target's lattice"):
+        volume_estimate(target, uniform_target(8), 500, 0.5, 0.1, trials=1,
+                        seed=2)
 
 
 def test_volume_separation_loss_scales_linearly():

@@ -21,8 +21,7 @@ import pytest
 
 from mesogas.cli import main
 from mesogas.construction import (certify, cube_lattice, cube_masses,
-                                  energy_gap, place_points, round_counts,
-                                  separation_radius)
+                                  place_points, round_counts)
 from mesogas.coulomb import grid_kernel
 from mesogas.equilibrium import solve_equilibrium, solve_thermal, thermal_box
 from mesogas.grids import Box, GridMeasure
@@ -110,27 +109,26 @@ def _construct_instance():
     target = GridMeasure.uniform(box, 6, 1.0 / box.volume)
     cubes = cube_lattice(box, 0.25)
     counts = round_counts(cube_masses(target, cubes), 320)
-    return counts, place_points(counts, cubes, 0.2, seed=0), target
+    return place_points(counts, cubes, 0.2, seed=0), target
 
 
 def test_construction_placement_pinned():
     """Every bit of the placed points: the per-cube RNG streams and the
     order in which the cubes are filled."""
-    _, config, _ = _construct_instance()
+    config, _ = _construct_instance()
     assert hashlib.sha256(config.points.tobytes()).hexdigest() == (
         "4bd31201c9b0b318fdc772e2e47fb0dc72ebb9c0518472c8a7505bf1ffa85132")
 
 
 def test_construction_energy_gap_pinned():
-    counts, config, target = _construct_instance()
-    tau_min = separation_radius(counts, 0.25, 0.2, 3)
-    gap, _ = energy_gap(config, target, tau_min)
+    config, target = _construct_instance()
+    gap = certify(config, target, 0.25, 0.2).energy_gap
     assert gap == pytest.approx(0.1849626073463101, rel=REL)
 
 
 def test_construction_bl_to_target_pinned():
     """The 536-site BL LP; 1e-9 absolute is the benchmark's bl_ tolerance."""
-    _, config, target = _construct_instance()
+    config, target = _construct_instance()
     report = certify(config, target, 0.25, 0.2)
     assert report.bl_to_target == pytest.approx(0.22792132064819687,
                                                 rel=0, abs=1e-9)
