@@ -120,6 +120,10 @@ class ConstructionParams:
         if mass(self.target) <= 0:
             raise ValueError("target must carry positive mass")
         cube_lattice(self.target.box, self.cube_size)
+        sites = self.N + min(self.target.density.size, 2 ** self.target.d)
+        if sites > BL_MAX_SITES:  # certify's coarsest target: 2 cells/axis
+            raise ValueError(f"N={self.N} needs a BL LP of at least {sites} "
+                             f"sites, above the cap of {BL_MAX_SITES}")
 
     def effective_target(self) -> tuple[GridMeasure, float | None]:
         """Target after optional quantile truncation, plus the cap used."""

@@ -21,10 +21,6 @@ The bounded-Lipschitz distance is computed exactly on the discrete support
 (union of atoms and cell centers) as a min-cost-flow linear program; callers
 pick the resolution they can afford.
 
-``bl_distance`` hands its LP straight to HiGHS's dual simplex through
-scipy's binding of the solver (see ``_lp_stack``), with no scipy wrapper
-in between; its docstring has the measured gain.
-
 Importing this module loads numpy alone. The LP stack (the HiGHS binding
 and the compiled kernel of ``scipy.spatial.distance.cdist``) loads on the
 first call of ``_lp_stack``, as two bare compiled modules: their packages,
@@ -331,24 +327,20 @@ def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
     arcs shorter than 2 and the ground columns therefore carry the optimum.
 
     The LP goes to HiGHS's dual simplex as column-wise arrays, in one call
-    of the binding's array ``passModel``, with no scipy wrapper and no
-    ``HighsLp`` in between: ``linprog``'s wrapper looped in Python over
-    every column, and the ``HighsLp`` setters copied each array element by
-    element. On the 536-site LP of `mesogas construct` at N = 320 (63,317
-    columns; shared 2-CPU Xeon VM) a call took 288 ms through ``linprog``,
-    then 129-169 ms through a ``HighsLp``, and takes 112-138 ms here
-    (medians of nine calls, four alternating rounds), with the same
-    objective bit for bit. HiGHS's ``run``, 97-127 ms in those rounds, is
-    now nearly all of a call. A model that ``passModel`` rejects raises
-    ``RuntimeError``: after one, ``run`` reports an optimum of 0 (a NaN
-    row bound) or crashes (a row index out of range).
+    of the binding's array ``passModel``; the README's benchmark section
+    has the gain over ``linprog`` and a ``HighsLp``. A model it rejects
+    raises ``RuntimeError``, since ``run`` would then report 0 or crash.
 
-    HiGHS runs without presolve, which can never reduce this LP: every arc
-    column has exactly two unit entries, in two distinct balance rows, every
-    ground column has one unit entry, and every cost is positive. On the
-    536-site LP above, presolve logs "Presolve reductions: rows 536(-0);
-    columns 63317(-0); nonzeros 126098(-0) - Not reduced" and costs about
-    as much as the dual simplex solve after it.
+    During ``run`` HiGHS's copy of the model is the only one: ``start`` and
+    ``index`` are filled in place as the int32 the binding takes without a
+    copy, cdist's matrix and the arc indices go before ``passModel`` and
+    the column arrays after it, so what stays grows with the sites alone:
+    about 40 KB traced on the 536-site LP, against 4.4 MB before; a call's
+    peak RSS fell by 11-18 MB at 985-1,112 sites in the same time.
+
+    HiGHS runs without presolve, which cannot reduce this LP (each column
+    has one or two unit entries in distinct rows and a positive cost; it
+    logs "Not reduced") and costs about as much as the solve after it.
     """
     pa, wa = _site_list(a)
     pb, wb = _site_list(b)
@@ -370,13 +362,16 @@ def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
     dd = cdist(pts[src], pts[snk])
     i, j = np.nonzero(dd < 2.0)
     m = i.size
+    cost = np.concatenate([dd[i, j], np.ones(n)])
     # arc k is column k, with its two unit rows in ascending order; the
     # ground column of site k is column m + k, with row k alone
-    tail, head = src[i], snk[j]
-    arcs = np.stack([np.minimum(tail, head), np.maximum(tail, head)], axis=1)
-    start = np.concatenate([np.arange(0, 2 * m, 2),
-                            np.arange(2 * m, 2 * m + n)]).astype(np.int32)
-    index = np.concatenate([arcs.ravel(), np.arange(n)]).astype(np.int32)
+    start = np.arange(m + n, dtype=np.int32)
+    start += np.minimum(start, m)
+    index = np.empty(2 * m + n, dtype=np.int32)
+    np.minimum(src[i], snk[j], out=index[0:2 * m:2])
+    np.maximum(src[i], snk[j], out=index[1:2 * m:2])
+    index[2 * m:] = np.arange(n)
+    del dd, i, j
     rhs = np.abs(w)
     dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options = {"output_flag": False, "log_to_console": False,
@@ -393,7 +388,7 @@ def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
         int(highs.MatrixFormat.kColwise),       # a_format
         int(highs.ObjSense.kMinimize),          # sense
         0.0,                                    # offset
-        np.concatenate([dd[i, j], np.ones(n)]),  # col_cost
+        cost,                                   # col_cost
         np.zeros(m + n),                        # col_lower
         np.full(m + n, highs.kHighsInf),        # col_upper
         rhs,                                    # row_lower
@@ -404,6 +399,7 @@ def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
         np.zeros(m + n, dtype=np.int32))        # integrality: continuous
     if passed != highs.HighsStatus.kOk:
         raise RuntimeError(f"HiGHS rejected the bl_distance LP: {passed.name}")
+    del cost, start, index
     solver.run()
     status = solver.getModelStatus()
     # the ground columns keep the LP feasible and every cost is positive

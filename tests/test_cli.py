@@ -225,6 +225,23 @@ def test_invalid_configs_exit_2_without_a_traceback(tmp_path, capsys):
         assert "configuration error" in capsys.readouterr().err, patch
 
 
+def test_construct_beyond_the_bl_cap_exits_2_at_load(tmp_path, capsys):
+    """1,300 atoms need a BL LP of at least 1,308 sites, above the cap of
+    1,200, so construct is a configuration error at load, before
+    placement."""
+    obj = {"d": 3, "construction": {
+        "half_width": 1.0, "target_cells": 8, "N": 1300, "cube_size": 0.25,
+        "separation": 0.2}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["construct", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert "1308 sites" in err and "cap of 1200" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sample", "sweep"])
 def test_a_burn_in_without_steps_is_checked_at_load(tmp_path, capsys,
                                                    command):

@@ -106,9 +106,9 @@ def test_place_points_is_deterministic():
 
 def test_packing_rejects_impossible_separation():
     target = uniform_target(2)
-    params = ConstructionParams(target=target, N=2000, cube_size=1.0,
+    params = ConstructionParams(target=target, N=1000, cube_size=1.0,
                                 separation=0.9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="placement budget exhausted"):
         construct(params, seed=1)
 
 
@@ -136,6 +136,16 @@ def test_certify_coarsens_the_target_of_an_oversized_bl_lp():
     report = certify(config, target, 1.0, 0.2)
     coarse = _normalized(resample(_normalized(target), BOX, 10))
     assert report.bl_to_target == bl_distance(config, coarse)
+
+
+def test_params_reject_an_n_whose_bl_lp_exceeds_the_cap():
+    """certify's coarsest BL target keeps 2 cells per axis, so at d = 3 the
+    LP has at least N + 8 sites: N = 1192 fits BL_MAX_SITES = 1200 and
+    N = 1193 is refused before any point is placed."""
+    kw = dict(target=uniform_target(8), cube_size=0.25, separation=0.2)
+    ConstructionParams(N=BL_MAX_SITES - 8, **kw)
+    with pytest.raises(ValueError, match=f"cap of {BL_MAX_SITES}"):
+        ConstructionParams(N=BL_MAX_SITES - 7, **kw)
 
 
 def test_certify_flags_separation_violation():
