@@ -123,7 +123,8 @@ CONFIG_KEYS = {
     (None, "d"): ("d", _count, 3, "> 2"),  # the kernel |x|^(2-d)
     (None, "R"): ("R", float, 1.0, "> 0"),
     (None, "seed"): ("seed", _count, 20240817, None),
-    ("potential", "kind"): ("potential_kind", str, "quadratic", None),
+    ("potential", "kind"): ("potential_kind", str, "quadratic",
+                            ("quadratic",)),  # no config holds a table
     ("potential", "coef"): ("potential_coef", float, 1.0, "> 0"),
     ("grid", "N"): ("grid_N", lambda v: [*map(_count, _list(v))], (), None),
     ("grid", "gamma"): ("grid_gamma", _list, (), None),
@@ -145,8 +146,6 @@ CONFIG_KEYS = {
     ("construction", "N"): ("construction_N", _count, 256, None),
     ("construction", "cube_size"): ("cube_size", float, 0.5, "> 0"),
     ("construction", "separation"): ("separation", float, 0.2, None),
-    ("construction", "truncate_quantile"): ("truncate_quantile", float, None,
-                                            None),
     ("construction", "volume_trials"): ("volume_trials", _count, 4, None),
     ("rate", "functional"): ("rate_functional", str, "n", ("n", "phi", "t")),
 }
@@ -227,8 +226,7 @@ class ExperimentConfig:
             target=GridMeasure.uniform(box, cfg.target_cells,
                                        1.0 / box.volume),
             N=cfg.construction_N, cube_size=cfg.cube_size,
-            separation=cfg.separation,
-            truncate_quantile=cfg.truncate_quantile)
+            separation=cfg.separation)
         return cfg
 
     # -- derived objects ----------------------------------------------------
@@ -711,6 +709,7 @@ def _run_sweep_tasks(cfg: ExperimentConfig, tasks: list,
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
+    _first_regime(cfg)  # a sweep needs a grid, as sample and rate do
     start = time.perf_counter()
     regimes = cfg.regimes
     tasks = [(params, stage) for stage in SWEEP_STAGES for params in regimes]

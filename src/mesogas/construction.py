@@ -95,26 +95,18 @@ class ConstructionParams:
     """Inputs of the generator.
 
     ``target`` is treated as a probability measure (normalized by its mass).
-    ``truncate_quantile``, when set, caps the target density at that quantile
-    of its positive values and renormalizes before any counting, taming
-    targets with extreme peaks; the cap actually applied is recorded in the
-    report.
     """
 
     target: GridMeasure
     N: int
     cube_size: float
     separation: float
-    truncate_quantile: float | None = None
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("need at least one point")
         if not 0.0 < self.separation < 1.0:
             raise ValueError("separation factor must lie in (0, 1)")
-        if self.truncate_quantile is not None \
-                and not 0.0 <= self.truncate_quantile <= 1.0:
-            raise ValueError("truncate_quantile must lie in [0, 1]")
         if np.any(self.target.density < 0):
             raise ValueError("target must be a positive measure")
         if mass(self.target) <= 0:
@@ -124,18 +116,6 @@ class ConstructionParams:
         if sites > BL_MAX_SITES:  # certify's coarsest target: 2 cells/axis
             raise ValueError(f"N={self.N} needs a BL LP of at least {sites} "
                              f"sites, above the cap of {BL_MAX_SITES}")
-
-    def effective_target(self) -> tuple[GridMeasure, float | None]:
-        """Target after optional quantile truncation, plus the cap used."""
-        if self.truncate_quantile is None:
-            return self.target, None
-        rho = self.target.density
-        pos = rho[rho > 0]
-        level = float(np.quantile(pos, self.truncate_quantile))
-        capped = np.minimum(rho, level)
-        total = mass(self.target)
-        scale = total / (capped.sum() * self.target.cell_volume)
-        return self.target.with_density(capped * scale, signed=False), level
 
 
 @dataclass
@@ -152,7 +132,6 @@ class ConstructionReport:
     separation_ok: bool = True
     boundary_ok: bool = True
     potential_bound: dict | None = None
-    truncation_level: float | None = None
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -167,7 +146,6 @@ class ConstructionReport:
             "log_volume_estimate": self.log_volume_estimate,
             "separation_ok": self.separation_ok,
             "boundary_ok": self.boundary_ok,
-            "truncation_level": self.truncation_level,
         }
         if self.potential_bound is not None:
             out["potential_bound"] = self.potential_bound
@@ -296,8 +274,9 @@ def separation_radius(counts: np.ndarray, cube_size: float,
 
 
 def certify(configuration: AtomicMeasure, nu: GridMeasure, cube_size: float,
-            separation: float, bound_constants: tuple[float, float] | None = None,
-            truncation_level: float | None = None) -> ConstructionReport:
+            separation: float,
+            bound_constants: tuple[float, float] | None = None
+            ) -> ConstructionReport:
     """Measure everything the construction promises, for any candidate.
 
     Exact checks (no tolerance): the global minimum pairwise distance is at
@@ -339,7 +318,8 @@ def certify(configuration: AtomicMeasure, nu: GridMeasure, cube_size: float,
     bl_nu = nu
     if nu.density.size + n_pts > BL_MAX_SITES:
         budget = max(BL_MAX_SITES - n_pts, 8)
-        cpa = max(int(budget ** (1.0 / d)), 2)
+        root = round(budget ** (1.0 / d))  # 1000 ** (1/3) is 9.99...
+        cpa = max(root - (root ** d > budget), 2)
         bl_nu = _normalized(resample(nu, nu.box, cpa))
     bl = bl_distance(configuration, bl_nu, max_sites=BL_MAX_SITES)
 
@@ -370,7 +350,6 @@ def certify(configuration: AtomicMeasure, nu: GridMeasure, cube_size: float,
         separation_ok=separation_ok,
         boundary_ok=boundary_ok,
         potential_bound=bound,
-        truncation_level=truncation_level,
         extras={"counts_nonzero": int(np.count_nonzero(counts)),
                 "smear_radius": r_s, "cube_size": eta},
     )
@@ -507,13 +486,12 @@ def construct(params: ConstructionParams, seed: int,
     against the target's own box-uniform reference and stores the per-N log
     in the report.
     """
-    target, level = params.effective_target()
+    target = params.target
     cubes = cube_lattice(target.box, params.cube_size)
     counts = round_counts(cube_masses(target, cubes), params.N)
     config = place_points(counts, cubes, params.separation, seed)
     report = certify(config, target, params.cube_size, params.separation,
-                     bound_constants=bound_constants,
-                     truncation_level=level)
+                     bound_constants=bound_constants)
     if volume_trials > 0:
         ref = GridMeasure.uniform(target.box, target.cells_per_axis,
                                   1.0 / target.box.volume)

@@ -55,10 +55,6 @@ def test_config_rejects_bad_values():
                   {"target": {"kind": "gaussian"}},
                   {"rate": {"functional": "q"}},
                   {"solver": {"cells_per_axis": 2}},
-                  {"construction": {**base_config()["construction"],
-                                    "truncate_quantile": 1.5}},
-                  {"construction": {**base_config()["construction"],
-                                    "truncate_quantile": "abc"}},
                   # counts are whole numbers: 8.5 is not read as 8
                   {"grid": {"N": [8.5], "gamma": [0.3], "lambda": [0.05]}},
                   {"sampler": {"chains": 2, "steps": 200, "burn_in": 100.7}},
@@ -70,6 +66,11 @@ def test_config_rejects_bad_values():
         with pytest.raises(ConfigError), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ExperimentConfig.from_json(obj)
+    # the library's tabulated potential needs a table no config can hold
+    for kind in ("tabulated", "cubic"):
+        with pytest.raises(ConfigError, match=(
+                f"^potential.kind='{kind}': must be one of quadratic$")):
+            ExperimentConfig.from_json({"potential": {"kind": kind}})
 
 
 MISSPELLED = [("sampler", "chians"), (None, "seeed"),
@@ -267,6 +268,22 @@ def test_a_burn_in_without_steps_is_checked_at_load(tmp_path, capsys,
         warnings.simplefilter("ignore")
         cfg = load_config(str(path))
     assert [cfg.steps_at(p.N) for p in cfg.regimes] == [1600, 6400]
+
+
+@pytest.mark.parametrize("command", ["sample", "rate", "sweep"])
+def test_a_command_that_runs_the_grid_needs_one(tmp_path, capsys, command):
+    """Without a grid there is no regime to sample, rate or sweep: each of
+    the three exits 2 and writes nothing, not a header-only sweep.csv."""
+    obj = base_config()
+    del obj["grid"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: grid must provide N, gamma, and lambda" \
+        in err and "Traceback" not in err
+    assert [*out.iterdir()] == []
 
 
 @pytest.mark.parametrize("functional, name", [("phi", "Phi"), ("t", "T")])
@@ -628,6 +645,38 @@ def test_construct_records_and_prints_its_warnings(config_path, tmp_path,
     report = json.loads((out / "construction.json").read_text())
     assert report["warnings"] == ["planted by the construction"]
     assert capsys.readouterr().err.count("planted by the construction") == 1
+
+
+# a small construction (16 points, 2 to a cube, an LP of 80 sites) and, for
+# each key of its section, another valid value
+SMALL_CONSTRUCTION = {"half_width": 1.0, "target_cells": 4, "N": 16,
+                      "cube_size": 1.0, "separation": 0.2, "volume_trials": 1}
+OTHER_CONSTRUCTION = {"half_width": 0.5, "target_cells": 8, "N": 24,
+                      "cube_size": 0.5, "separation": 0.3, "volume_trials": 2}
+
+
+def _computed_outputs(construction: dict) -> str:
+    """What `construct` computes, not what it copies from its inputs."""
+    cfg = ExperimentConfig.from_json({"construction": construction})
+    report = cli.construct(cfg.construction, seed=0,
+                           volume_trials=cfg.volume_trials)
+    return repr((report.configuration.points.tobytes(),
+                 report.min_separation, report.tau_min, report.bl_to_target,
+                 report.energy_gap, report.max_potential_gap,
+                 report.log_volume_estimate))
+
+
+@pytest.mark.parametrize("key", [key for section, key in cli.CONFIG_KEYS
+                                 if section == "construction"])
+def test_every_construction_key_changes_a_computed_output(key):
+    """A construction key moved off its value to another valid one changes
+    the points, a certificate or the volume estimate; a key that changes
+    none of them is dead configuration."""
+    default = cli.CONFIG_KEYS["construction", key][2]
+    assert OTHER_CONSTRUCTION[key] != SMALL_CONSTRUCTION.get(key, default)
+    assert _computed_outputs({**SMALL_CONSTRUCTION,
+                              key: OTHER_CONSTRUCTION[key]}) \
+        != _computed_outputs(SMALL_CONSTRUCTION)
 
 
 def test_sweep_command_is_deterministic(config_path, tmp_path):

@@ -123,14 +123,17 @@ def test_certify_exact_quantization_bl_bound():
     assert report.bl_to_target <= 0.5 * math.sqrt(3) / 2 + 1e-9
 
 
-def test_certify_coarsens_the_target_of_an_oversized_bl_lp():
-    """11^3 target cells and 8 atoms exceed BL_MAX_SITES, so certify
+@pytest.mark.parametrize("N", [8, 200])
+def test_certify_coarsens_the_target_of_an_oversized_bl_lp(N):
+    """11^3 target cells and N atoms exceed BL_MAX_SITES, so certify
     measures the BL distance to the normalized target resampled on the
-    largest lattice that fits beside the atoms: 10^3 cells."""
+    largest lattice that fits beside the atoms: 10^3 cells. At N = 200
+    they fill the cap exactly, where the float cube root of 1000 is
+    9.999999999999998."""
     target = GridMeasure.from_function(
         BOX, 11, lambda p: 1.0 + 0.5 * np.cos(2.0 * p).prod(axis=1))
     cubes = cube_lattice(BOX, 1.0)
-    counts = round_counts(cube_masses(target, cubes), 8)
+    counts = round_counts(cube_masses(target, cubes), N)
     config = place_points(counts, cubes, 0.2, seed=4)
     assert 10 ** 3 + config.count <= BL_MAX_SITES < 11 ** 3 + config.count
     report = certify(config, target, 1.0, 0.2)
@@ -238,18 +241,6 @@ def test_construct_end_to_end_report():
     for key in ("min_separation", "bl_to_target", "energy_gap",
                 "max_potential_gap", "separation_ok"):
         assert key in obj
-
-
-def test_truncated_target_keeps_quantile_mass():
-    rng = np.random.default_rng(20)
-    density = rng.uniform(0.1, 1.0, (4, 4, 4))
-    target = GridMeasure(BOX, 4, density)
-    params = ConstructionParams(target=target, N=100, cube_size=0.5,
-                                separation=0.2, truncate_quantile=0.2)
-    cut, level = params.effective_target()
-    assert level > 0.0
-    assert mass(cut) <= mass(target)
-    assert np.all((cut.density == 0.0) | (cut.density >= level - 1e-12))
 
 
 def test_cube_masses_sum_to_total():

@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 
 from mesogas.cli import main
-from mesogas.construction import (certify, cube_lattice, cube_masses,
-                                  place_points, round_counts)
+from mesogas.construction import ConstructionParams, construct
 from mesogas.coulomb import grid_kernel
 from mesogas.equilibrium import solve_equilibrium, solve_thermal, thermal_box
 from mesogas.grids import Box, GridMeasure
@@ -103,35 +102,46 @@ def test_grid_potential_pinned_on_criterion_1_lattice(quad):
         "7a840b5f8b04cf239e9bcc532ca96621e06bdff16a0c8206fffc2b5bb303c38d")
 
 
-def _construct_instance():
-    """The construct instance of the benchmark: N = 320 on a 6-cell target."""
+@pytest.fixture(scope="module")
+def construct_report():
+    """The construct workload of the benchmark: N = 320 on a 6-cell target,
+    cubes of side 0.25, separation 0.2, 4 volume trials, seed 0."""
     box = Box.cube(np.zeros(3), 1.0)
-    target = GridMeasure.uniform(box, 6, 1.0 / box.volume)
-    cubes = cube_lattice(box, 0.25)
-    counts = round_counts(cube_masses(target, cubes), 320)
-    return place_points(counts, cubes, 0.2, seed=0), target
+    params = ConstructionParams(
+        target=GridMeasure.uniform(box, 6, 1.0 / box.volume), N=320,
+        cube_size=0.25, separation=0.2)
+    return construct(params, seed=0, volume_trials=4)
 
 
-def test_construction_placement_pinned():
+def test_construction_placement_pinned(construct_report):
     """Every bit of the placed points: the per-cube RNG streams and the
     order in which the cubes are filled."""
-    config, _ = _construct_instance()
-    assert hashlib.sha256(config.points.tobytes()).hexdigest() == (
+    points = construct_report.configuration.points
+    assert hashlib.sha256(points.tobytes()).hexdigest() == (
         "4bd31201c9b0b318fdc772e2e47fb0dc72ebb9c0518472c8a7505bf1ffa85132")
 
 
-def test_construction_energy_gap_pinned():
-    config, target = _construct_instance()
-    gap = certify(config, target, 0.25, 0.2).energy_gap
-    assert gap == pytest.approx(0.1849626073463101, rel=REL)
+def test_construction_energy_gap_pinned(construct_report):
+    assert construct_report.energy_gap == pytest.approx(0.1849626073463101,
+                                                        rel=REL)
 
 
-def test_construction_bl_to_target_pinned():
+def test_construction_bl_to_target_pinned(construct_report):
     """The 536-site BL LP; 1e-9 absolute is the benchmark's bl_ tolerance."""
-    config, target = _construct_instance()
-    report = certify(config, target, 0.25, 0.2)
-    assert report.bl_to_target == pytest.approx(0.22792132064819687,
-                                                rel=0, abs=1e-9)
+    assert construct_report.bl_to_target == pytest.approx(
+        0.22792132064819687, rel=0, abs=1e-9)
+
+
+def test_construction_outputs_pinned(construct_report):
+    """The rest of what the benchmark compares in construction.json."""
+    report = construct_report
+    assert report.log_volume_estimate == pytest.approx(-2.1144093640931403,
+                                                       rel=REL)
+    assert report.max_potential_gap == pytest.approx(0.19321956019522213,
+                                                     rel=REL)
+    assert report.min_separation == pytest.approx(0.04047025630600889,
+                                                  rel=REL)
+    assert report.tau_min == pytest.approx(0.03968502629920499, rel=REL)
 
 
 def _sweep_energy_config():
