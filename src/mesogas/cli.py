@@ -114,6 +114,13 @@ def _list(value) -> list:
     return value
 
 
+def _exponents(value) -> list:
+    """A list of numbers or strings: true is not read as 1, nor false as 0."""
+    if any(isinstance(v, bool) for v in _list(value)):
+        raise ConfigError("expected numbers or strings, not true or false")
+    return value
+
+
 # Every key a config may hold: (section, key), section None at the top level,
 # maps to the ExperimentConfig attribute it sets, how its JSON value is read,
 # the default an absent key or a null takes, and the rule a given value must
@@ -127,8 +134,8 @@ CONFIG_KEYS = {
                             ("quadratic",)),  # no config holds a table
     ("potential", "coef"): ("potential_coef", float, 1.0, "> 0"),
     ("grid", "N"): ("grid_N", lambda v: [*map(_count, _list(v))], (), None),
-    ("grid", "gamma"): ("grid_gamma", _list, (), None),
-    ("grid", "lambda"): ("grid_lambda", _list, (), None),
+    ("grid", "gamma"): ("grid_gamma", _exponents, (), None),
+    ("grid", "lambda"): ("grid_lambda", _exponents, (), None),
     ("ball", "type"): ("ball_type", str, "bl", ("bl", "energy")),
     ("ball", "epsilon"): ("ball_epsilon", float, 0.5, "> 0"),
     ("ball", "k"): ("ball_k", float, 1.0, None),

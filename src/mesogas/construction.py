@@ -49,7 +49,7 @@ from numpy.random import default_rng
 
 from . import kernels
 from .coulomb import (SpaceParams, ball_self_energy, energy_offdiag,
-                      potential_field)
+                      grid_kernel, potential_field)
 from .grids import (AtomicMeasure, Box, GridMeasure, bl_distance, mass,
                     relative_entropy, resample)
 
@@ -325,12 +325,11 @@ def certify(configuration: AtomicMeasure, nu: GridMeasure, cube_size: float,
 
     # energy: E^{neq}(empirical - nu) plus the smeared atoms' self-energies
     r_s = 0.5 * tau_min if tau_min > 0 else 0.25 * nu.spacing[0]
-    e_gap = energy_offdiag(configuration,
-                           nu.with_density(-nu.density, signed=True),
-                           smear_radius=r_s) \
+    e_gap = energy_offdiag([configuration], nu.with_density(-nu.density),
+                           smear_radius=r_s)[0] \
         + n_pts * configuration.weight ** 2 * ball_self_energy(r_s, d)
     h_gap = potential_field(configuration, nu, smear_radius=r_s) \
-        - potential_field(nu, nu)
+        - grid_kernel(nu).potential(nu.density)
     max_gap = float(np.max(np.abs(h_gap)))
 
     bound = None

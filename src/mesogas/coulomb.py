@@ -321,22 +321,18 @@ def default_smear_radius(like: GridMeasure) -> float:
     return like.cell_diagonal
 
 
-def potential_field(m: Measure, like: GridMeasure,
-                    smear_radius: float | None = None) -> np.ndarray:
-    """h^m at the cell centers of `like` (array shaped like its density).
+def potential_field(atoms: AtomicMeasure, like: GridMeasure,
+                    smear_radius: float) -> np.ndarray:
+    """h^atoms at the cell centers of `like` (array shaped like its density).
 
-    Grid input must share `like`'s lattice. Atomic input is smeared at
-    `smear_radius` (default: one cell diagonal), exactly via Newton's theorem.
+    Each atom is smeared at `smear_radius`, exactly via Newton's theorem;
+    radius 0 is the raw kernel. A grid measure's own field on its lattice
+    is ``grid_kernel(m).potential(m.density)``.
     """
-    if isinstance(m, GridMeasure):
-        if not m.same_lattice(like):
-            raise ValueError("potential_field: grid input must share the target lattice")
-        return grid_kernel(like).potential(m.density)
-    radius = default_smear_radius(like) if smear_radius is None else float(smear_radius)
     # the atoms are the sources, with unit weights scaled by their common one
     flat = kernels.grid_potential_at_points(
-        np.ones(m.count), np.ascontiguousarray(m.points), m.weight,
-        like.cell_centers(), radius, float(like.d))
+        np.ones(atoms.count), np.ascontiguousarray(atoms.points),
+        atoms.weight, like.cell_centers(), float(smear_radius), float(like.d))
     return flat.reshape(like.density.shape)
 
 
@@ -379,44 +375,37 @@ def energy(m: Measure, smear: SmearKind | None = None) -> float:
     return float(w * w * total)
 
 
-def energy_offdiag(atoms: AtomicMeasure | Sequence[AtomicMeasure] | None,
-                   grid: GridMeasure | None,
-                   smear_radius: float | None = None) -> float | np.ndarray:
-    """E^{neq}(atoms + grid): the energy with atomic self-pairs removed.
+def energy_offdiag(configs: Sequence[AtomicMeasure], grid: GridMeasure,
+                   smear_radius: float | None = None) -> np.ndarray:
+    """E^{neq}(atoms + grid) for each configuration of atoms: the energy
+    with atomic self-pairs removed, one entry per configuration.
 
-    The atoms' common weight may be negative: E^{neq}(grid - nu) is
-    ``energy_offdiag(AtomicMeasure(nu.points, -nu.weight), grid)``.
-    Self-pairs are removed for every atom, wherever it lies. Cross terms
-    smear atoms at `smear_radius` (default: one cell diagonal of the grid).
-
-    `atoms` is an ``AtomicMeasure`` or None, and the value a float; or a
-    sequence of them, one per configuration, and the value an array with
-    one entry each. E(grid) is then evaluated once and one potential
-    evaluation covers the atoms of every configuration, each entry
-    equal to the single-configuration value.
+    The atoms' common weight may be negative: E^{neq}(grid - nu) is the
+    entry of ``AtomicMeasure(nu.points, -nu.weight)``. Self-pairs are
+    removed for every atom, wherever it lies. Cross terms smear atoms at
+    `smear_radius` (default: one cell diagonal of the grid). E(grid) is
+    evaluated once, and one potential evaluation covers the atoms of every
+    configuration; an empty configuration scores E(grid).
     """
-    many = atoms is not None and not isinstance(atoms, AtomicMeasure)
-    configs = list(atoms) if many else [atoms]
     total = np.zeros(len(configs))
     crossed = []
     for j, a in enumerate(configs):
-        if a is None or a.count == 0:
+        if a.count == 0:
             continue
         total[j] = a.weight ** 2 * kernels.pairwise_g_sum(
             np.ascontiguousarray(a.points), float(a.d))
         crossed.append(j)
-    if grid is not None:
-        total += energy(grid)
-        if crossed:
-            vals = potential_at_points(
-                grid, np.concatenate([configs[j].points for j in crossed]),
-                smear_radius=smear_radius)
-            start = 0
-            for j in crossed:
-                part = vals[start:start + configs[j].count]
-                total[j] += 2.0 * float(configs[j].weight * np.sum(part))
-                start += configs[j].count
-    return total if many else float(total[0])
+    total += energy(grid)
+    if crossed:
+        vals = potential_at_points(
+            grid, np.concatenate([configs[j].points for j in crossed]),
+            smear_radius=smear_radius)
+        start = 0
+        for j in crossed:
+            part = vals[start:start + configs[j].count]
+            total[j] += 2.0 * float(configs[j].weight * np.sum(part))
+            start += configs[j].count
+    return total
 
 
 def smeared_energy_bound(m: AtomicMeasure, eps: float) -> tuple[float, float]:

@@ -105,7 +105,7 @@ class EquilibriumSolution:
         exp would underflow. Points outside the (dilated) box map to -inf.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float)) / dilation
-        holder = self.measure.with_density(self.log_density, signed=True)
+        holder = self.measure.with_density(self.log_density)
         return holder.density_at(pts, fill=-np.inf)
 
     def log_density_smooth(self, points: np.ndarray) -> np.ndarray:
@@ -119,10 +119,9 @@ class EquilibriumSolution:
         """
         if self.log_density is None:
             raise ValueError("pointwise log density needs a thermal solution")
-        from .coulomb import default_smear_radius, potential_at_points
+        from .coulomb import potential_at_points
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        h = potential_at_points(self.measure, pts,
-                                smear_radius=default_smear_radius(self.measure))
+        h = potential_at_points(self.measure, pts)
         nb = self.N * self.beta
         return -nb * (2.0 * h + self.potential(pts) - self.k)
 
@@ -313,7 +312,7 @@ def solve_equilibrium(V: Potential, box: Box, cells_per_axis: int,
     if cells_per_axis > 2 and float(np.max(edge)) > 1e-6 * rho.max():
         warnings.warn("equilibrium support touches the box boundary; "
                       "enlarge the box")
-    meas = like.with_density(rho, signed=False)
+    meas = like.with_density(rho)
     return EquilibriumSolution(
         kind="equilibrium", measure=meas, potential=V, k=k, el_residual=el,
         iterations=it, objective=obj, converged=el < tol,
@@ -378,7 +377,7 @@ def solve_thermal(V: Potential, N: float, beta: float,
         if ratio > 1e-10:
             warnings.warn("thermal density is not negligible at the box "
                           f"boundary (ratio {ratio:.2e}); enlarge the box")
-    meas = like.with_density(rho, signed=False)
+    meas = like.with_density(rho)
     return EquilibriumSolution(
         kind="thermal", measure=meas, potential=V, k=k, el_residual=el,
         iterations=it, objective=obj, converged=el < max(tol, 1e-6),

@@ -4,6 +4,8 @@ Two concrete measure types cover everything the laboratory needs:
 
 * ``GridMeasure`` -- a (possibly signed) density that is piecewise constant on
   a regular lattice over an open box. All integrals are exact cellwise sums.
+  It is ``signed`` when a cell is negative or when built with ``signed=True``;
+  ``with_density`` decides the flag from the new density alone.
 * ``AtomicMeasure`` -- a finite point configuration with one common weight.
 
 Geometric conventions:
@@ -15,6 +17,7 @@ Geometric conventions:
 * membership is strict; a grid cell belongs to a box iff its center does.
 * dilation by ``x`` maps ``mu`` to ``mu^x(U) = x^d mu(U/x)``: the support
   scales by ``x``, density values are unchanged, mass scales by ``x^d``.
+  ``dilate`` and ``measure_to_json`` take grid measures only.
 * ``0 * log 0 = 0`` in every entropy.
 
 The bounded-Lipschitz distance is computed exactly on the discrete support
@@ -181,9 +184,9 @@ class GridMeasure:
         if not self.same_lattice(other):
             raise ValueError("grid measures live on different lattices")
 
-    def with_density(self, rho: np.ndarray, signed: bool | None = None) -> "GridMeasure":
-        return replace(self, density=rho,
-                       signed=self.signed if signed is None else signed)
+    def with_density(self, rho: np.ndarray) -> "GridMeasure":
+        """`rho` on this lattice, signed exactly when a cell is negative."""
+        return replace(self, density=rho, signed=False)
 
     # -- constructors --------------------------------------------------------
 
@@ -191,7 +194,7 @@ class GridMeasure:
     def uniform(box: Box, cells_per_axis: int, value: float = 1.0) -> "GridMeasure":
         n = int(cells_per_axis)
         rho = np.full((n,) * box.d, float(value))
-        return GridMeasure(box, n, rho, signed=value < 0)
+        return GridMeasure(box, n, rho)
 
     @staticmethod
     def zeros(box: Box, cells_per_axis: int) -> "GridMeasure":
@@ -251,14 +254,11 @@ def relative_entropy(m: GridMeasure, ref: GridMeasure) -> float:
     return float(np.sum(rho[pos] * np.log(rho[pos] / sig[pos])) * m.cell_volume)
 
 
-def dilate(m: Measure, x: float):
+def dilate(m: GridMeasure, x: float) -> GridMeasure:
     """mu^x(U) = x^d mu(U/x); support scales by x, mass by x^d."""
     if x <= 0:
         raise ValueError("dilation factor must be positive")
-    if isinstance(m, GridMeasure):
-        return GridMeasure(m.box.scaled(x), m.cells_per_axis, m.density.copy(),
-                           signed=m.signed)
-    return AtomicMeasure(m.points * x, m.weight * x ** m.d)
+    return GridMeasure(m.box.scaled(x), m.cells_per_axis, m.density.copy())
 
 
 def box_mass(m: GridMeasure, box: Box) -> float:
@@ -284,7 +284,7 @@ def resample(m: GridMeasure, box: Box, cells_per_axis: int) -> GridMeasure:
     """Sample the piecewise-constant density at the centers of a new lattice."""
     out = GridMeasure.zeros(box, cells_per_axis)
     vals = m.density_at(out.cell_centers(), fill=0.0)
-    return out.with_density(vals.reshape(out.density.shape), signed=m.signed)
+    return out.with_density(vals.reshape(out.density.shape))
 
 
 def _site_list(m: Measure) -> tuple[np.ndarray, np.ndarray]:
@@ -413,13 +413,11 @@ def bl_distance(a: Measure, b: Measure, max_sites: int = 4000) -> float:
 # serialization
 # ---------------------------------------------------------------------------
 
-def measure_to_json(m: Measure) -> dict:
-    if isinstance(m, GridMeasure):
-        return {
-            "box": m.box.to_json(),
-            "cells_per_axis": m.cells_per_axis,
-            "density": m.density.ravel().tolist(),
-            "signed": bool(m.signed),
-        }
-    return {"points": m.points.tolist(), "weight": m.weight}
+def measure_to_json(m: GridMeasure) -> dict:
+    return {
+        "box": m.box.to_json(),
+        "cells_per_axis": m.cells_per_axis,
+        "density": m.density.ravel().tolist(),
+        "signed": bool(m.signed),
+    }
 

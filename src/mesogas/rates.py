@@ -99,7 +99,7 @@ class ExteriorDomain:
 
     def exterior_measure(self, density_full: np.ndarray) -> GridMeasure:
         dens = np.where(self.interior_mask, 0.0, density_full)
-        return self.layout.with_density(dens, signed=bool(np.any(dens < 0)))
+        return self.layout.with_density(dens)
 
     def scaled(self, x: float) -> "ExteriorDomain":
         return ExteriorDomain.build(self.interior.scaled(x),
@@ -258,7 +258,7 @@ def kappa_minimizer(nu_bar_mass: float, blowup_measure: GridMeasure,
         raise ValueError("window mass exceeds the total mass; "
                          "no positive exterior measure can balance it")
     dens = np.where(domain.interior_mask, 0.0, kappa * w_dom)
-    mu_star = domain.layout.with_density(dens, signed=False)
+    mu_star = domain.layout.with_density(dens)
     value = kappa * math.log(kappa) * i_ext if kappa > 0 else 0.0
     return float(kappa), mu_star, float(value)
 
@@ -282,7 +282,7 @@ def alpha_minimizer(i_N: float, N: float, thermal_sol,
         raise ValueError("thermal measure has no mass outside the box")
     alpha = (1.0 - i_N / N) / i_ext
     dens = np.where(inside, 0.0, alpha * meas.density)
-    rho_star = meas.with_density(dens, signed=False)
+    rho_star = meas.with_density(dens)
     return float(alpha), rho_star
 
 
@@ -388,7 +388,7 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
     extras = {"energy_term": energy_term,
               "entropy_term": obj - (energy_term if include_energy else 0.0)}
 
-    if getattr(thermal_sol.potential, "kind", None) == "quadratic":
+    if thermal_sol.potential.kind == "quadratic":
         mu_v0 = thermal_sol.potential.equilibrium_density(domain.d)
         ref = GridMeasure.uniform(domain.interior, mu.cells_per_axis,
                                   value=float(mu_v0))

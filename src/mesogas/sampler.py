@@ -43,8 +43,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import kernels
-from .coulomb import default_smear_radius, energy_offdiag, \
-    potential_at_points
+from .coulomb import energy_offdiag, potential_at_points
 from .grids import AtomicMeasure, Box, GridMeasure, bl_distance
 
 
@@ -161,7 +160,7 @@ def splitting_decompose(X: np.ndarray, sol_thermal, N: int, beta: float
     mu = sol_thermal.measure
     k, objective = sol_thermal.k, sol_thermal.objective
 
-    h_at = potential_at_points(mu, pts, smear_radius=default_smear_radius(mu))
+    h_at = potential_at_points(mu, pts)
     pair = float(kernels.pairwise_g_sum(pts, mu.d))
 
     main = N * N * objective

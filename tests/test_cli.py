@@ -57,6 +57,9 @@ def test_config_rejects_bad_values():
                   {"solver": {"cells_per_axis": 2}},
                   # counts are whole numbers: 8.5 is not read as 8
                   {"grid": {"N": [8.5], "gamma": [0.3], "lambda": [0.05]}},
+                  # nor is true read as gamma = 1, or false as lambda = 0
+                  {"grid": {"N": [8], "gamma": [True], "lambda": [0.05]}},
+                  {"grid": {"N": [8], "gamma": [0.3], "lambda": [False]}},
                   {"sampler": {"chains": 2, "steps": 200, "burn_in": 100.7}},
                   {"construction": {**base_config()["construction"],
                                     "volume_trials": -1}},

@@ -14,7 +14,7 @@ from mesogas import coulomb, kernels
 from mesogas.coulomb import (GridKernel, SmearKind, SpaceParams,
                              ball_potential, ball_self_energy,
                              default_smear_radius, dense_kernel_matrix,
-                             energy, energy_offdiag, g_radial,
+                             energy, energy_offdiag, g_radial, grid_kernel,
                              potential_at_points, potential_field,
                              shell_potential,
                              shell_self_energy, shell_shell_interaction,
@@ -119,11 +119,11 @@ def test_energy_is_positive_definite():
         assert energy(diff) > 0.0
 
 
-def test_potential_field_matches_dense_kernel():
+def test_grid_kernel_potential_matches_dense_kernel():
     rng = np.random.default_rng(15)
     m = GridMeasure(Box.cube(np.zeros(3), 1.0), 4,
                     rng.uniform(0, 1, (4, 4, 4)))
-    h = potential_field(m, m)
+    h = grid_kernel(m).potential(m.density)
     K = dense_kernel_matrix(m)
     want = K @ m.density.ravel() * m.cell_volume
     assert np.allclose(np.asarray(h).ravel(), want, rtol=1e-12)
@@ -220,7 +220,7 @@ def test_potential_field_of_atoms_equals_its_single_point_evaluations():
     alone = [kernels.grid_potential_at_points(
         np.ones(atoms.count), atoms.points, atoms.weight, centre[None],
         radius, 3.0)[0] for centre in like.cell_centers()]
-    assert np.array_equal(potential_field(atoms, like).ravel(), alone)
+    assert np.array_equal(potential_field(atoms, like, radius).ravel(), alone)
 
 
 def test_potential_at_repeated_points_equals_each_point_alone():
@@ -255,9 +255,23 @@ def test_energy_offdiag_two_far_atoms():
     grid = GridMeasure.zeros(Box.cube(np.zeros(3), 2.0), 8)
     pts = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     atoms = AtomicMeasure(pts, 0.5)
-    got = energy_offdiag(atoms, grid)
-    assert got == pytest.approx(2.0 * 0.25 * g_radial(2.0, 3), rel=1e-9)
+    got = energy_offdiag([atoms], grid)
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(2.0 * 0.25 * g_radial(2.0, 3), rel=1e-9)
     assert energy(atoms) == math.inf
+
+
+def test_empty_configuration_in_a_stack_scores_the_grid_energy():
+    """An empty window has no atoms to pair or cross, so its entry is
+    E(grid) alone, and its neighbours score as they would alone."""
+    rng = np.random.default_rng(33)
+    grid = GridMeasure(Box.cube(np.zeros(3), 1.0), 4,
+                       rng.uniform(0.0, 1.0, (4, 4, 4)))
+    empty = AtomicMeasure(np.empty((0, 3)), -0.25)
+    atoms = AtomicMeasure(rng.uniform(-0.8, 0.8, (5, 3)), -0.25)
+    got = energy_offdiag([empty, atoms, empty], grid)
+    assert got[0] == got[2] == energy(grid)
+    assert got[1] == energy_offdiag([atoms], grid)[0]
 
 
 def test_pairwise_kernel_sum_matches_bruteforce():

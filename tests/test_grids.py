@@ -50,11 +50,17 @@ def test_dilation_scales_mass_but_not_values():
         assert np.allclose(mx.box.half_width, x * m.box.half_width)
 
 
-def test_dilation_of_atoms_scales_weight():
-    a = AtomicMeasure(np.array([[0.1, 0.2, 0.3], [-0.4, 0.0, 0.5]]), 0.5)
-    ax = dilate(a, 2.0)
-    assert ax.weight == pytest.approx(0.5 * 8.0)
-    assert np.allclose(ax.points, 2.0 * a.points)
+def test_with_density_is_signed_exactly_when_a_cell_is_negative():
+    """The flag follows the new density, not the parent measure's."""
+    box = Box.cube(np.zeros(3), 1.0)
+    rho = np.random.default_rng(5).uniform(0.1, 1.0, (3, 3, 3))
+    dipped = rho.copy()
+    dipped[1, 2, 0] = -0.5
+    for parent in (GridMeasure(box, 3, rho), GridMeasure(box, 3, -rho),
+                   GridMeasure(box, 3, rho, signed=True)):
+        assert parent.with_density(dipped).signed
+        assert not parent.with_density(rho).signed
+        assert not parent.with_density(np.zeros((3, 3, 3))).signed
 
 
 def test_relative_entropy_reference_must_cover_support():
@@ -404,7 +410,3 @@ def test_measure_to_json_fields():
                    "cells_per_axis": 3, "density": rho.ravel().tolist(),
                    "signed": True}
     assert type(got["signed"]) is bool
-
-    pts = rng.uniform(-1, 1, (6, 3))
-    got = measure_to_json(AtomicMeasure(pts, 0.125))
-    assert got == {"points": pts.tolist(), "weight": 0.125}

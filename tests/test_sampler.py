@@ -167,7 +167,7 @@ def test_callable_potential_chain_matches_quadratic(quad):
 def _tabulated(quad, half_width):
     like = GridMeasure.zeros(Box.cube(np.zeros(3), half_width), 8)
     return Potential("tabulated",
-                     table=like.with_density(quad.on_grid(like), signed=False))
+                     table=like.with_density(quad.on_grid(like)))
 
 
 def test_tabulated_potential_chain_keeps_hamiltonian(quad):
@@ -279,7 +279,7 @@ def test_signed_energy_offdiag_expands_into_its_three_terms(thermal):
     rng = np.random.default_rng(8)
     pts = rng.uniform(-0.3, 0.3, (64, 3))
     w = 1.0 / 64
-    got = energy_offdiag(AtomicMeasure(pts, -w), mu)
+    got = energy_offdiag([AtomicMeasure(pts, -w)], mu)[0]
     want = (energy(mu) - 2.0 * w * potential_at_points(mu, pts).sum()
             + w ** 2 * pairwise_g_sum(pts, 3))
     assert got == pytest.approx(want, rel=1e-12)
@@ -337,8 +337,8 @@ def test_ball_scores_match_each_field_scored_alone(stack):
                 Box.cube(np.zeros(3), shrink).contains(nu.points)):
             want = math.inf
         else:
-            want = abs(energy_offdiag(AtomicMeasure(nu.points, -nu.weight),
-                                      _BALL_MU))
+            want = abs(energy_offdiag(
+                [AtomicMeasure(nu.points, -nu.weight)], _BALL_MU)[0])
         assert score == want
         for eps in (0.05, 0.5, 5.0):
             assert (ball_scores([nu], _BALL_MU, k, p, kind=kind)[0]
