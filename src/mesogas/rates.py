@@ -26,7 +26,9 @@ All minimizations happen over a truncated exterior: a cube ``factor`` times
 the window, carved into the same lattice so window cells and exterior cells
 never overlap. Truncation error is a real modeling error; double the factor
 and compare values to bound it (the reported minimizer and integrals always
-refer to the truncated exterior).
+refer to the truncated exterior). T is solved exactly on the smallest cube
+of those cells that holds the window and every cell where w > 0, since its
+charge mu + nu - w vanishes outside (see ``t_rate``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coulomb import grid_kernel
+from .coulomb import GridKernel, grid_kernel
 from .equilibrium import _log_normalize, _mirror_descent, _projected_gradient
 from .grids import Box, GridMeasure, box_mass, mass, relative_entropy
 
@@ -286,23 +288,35 @@ def alpha_minimizer(i_N: float, N: float, thermal_sol,
     return float(alpha), rho_star
 
 
-def _t_minimize(q_fixed: np.ndarray, logw: np.ndarray, target_mass: float,
-                domain: ExteriorDomain, include_energy: bool,
+def _t_cube(domain: ExteriorDomain, logw: np.ndarray) -> tuple[slice, ...]:
+    """Slices of the smallest cube of lattice cells that holds the window and
+    every cell where log w is finite, the support of T's charge mu + nu - w.
+    It is the whole lattice when log w is finite everywhere."""
+    idx = np.nonzero(domain.interior_mask | np.isfinite(logw))
+    side = max(int(i.max() - i.min()) + 1 for i in idx)
+    n = domain.layout.cells_per_axis
+    return tuple(slice(lo, lo + side)
+                 for lo in (min(int(i.min()), n - side) for i in idx))
+
+
+def _t_minimize(q_fixed: np.ndarray, logw: np.ndarray, exterior: np.ndarray,
+                ker: GridKernel, target_mass: float, include_energy: bool,
                 tol: float, max_iter: int
                 ) -> tuple[np.ndarray, np.ndarray | None, float, float, int]:
     """Entropic mirror descent for min_nu E(q_fixed+nu) + ent[nu|w].
 
-    nu lives on exterior cells with exact mass target_mass (renormalized
-    every step). The iterate is kept as log nu on the cells where w > 0
-    (elsewhere nu must vanish), so every array stays finite. The gradient
-    in log coordinates is log nu - log w + 1 + 2 h, so the mirror-descent
-    target is log w - 1 - 2 h.
-    Returns (nu_full, h, objective, kkt_residual, iterations), where h is
-    the potential of q_fixed + nu_full (None without the energy term).
+    All arrays live on the lattice of `ker`, the cube ``t_rate`` solves on;
+    `exterior` masks its exterior cells. nu lives on exterior cells with
+    exact mass target_mass (renormalized every step). The iterate is kept as
+    log nu on the cells where w > 0 (elsewhere nu must vanish), so every
+    array stays finite. The gradient in log coordinates is
+    log nu - log w + 1 + 2 h, so the mirror-descent target is
+    log w - 1 - 2 h.
+    Returns (nu, h, objective, kkt_residual, iterations) on the cube, where
+    h is the potential of q_fixed + nu (None without the energy term).
     """
-    ker = grid_kernel(domain.layout)
-    dv = domain.layout.cell_volume
-    flat_idx = np.flatnonzero(domain.exterior_mask.ravel())
+    dv = ker.cell_volume
+    flat_idx = np.flatnonzero(exterior.ravel())
     logw_ext = logw.ravel()[flat_idx]
     keep = np.isfinite(logw_ext)
     if not np.any(keep):
@@ -313,7 +327,7 @@ def _t_minimize(q_fixed: np.ndarray, logw: np.ndarray, target_mass: float,
 
     def evaluate(Lv):
         nu_c = np.exp(Lv)
-        nu = np.zeros(domain.layout.density.shape)
+        nu = np.zeros(ker.shape)
         nu.flat[flat_idx] = nu_c
         val = float(np.sum(nu_c * (Lv - logw_c)) * dv)
         h = None
@@ -356,6 +370,11 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
     minimizer (used as an oracle in tests). A dilated thermal mass off
     N^(lambda d) by over 0.1% warns, blaming truncation when the truncation
     box pulled back by N^-lambda holds under 99.9% of the thermal mass.
+
+    The solve runs on the cube of ``_t_cube`` (extra ``solve_cells``: its
+    cells per axis). That is exact up to rounding: T reads the potential
+    only where mu + nu - w or nu may be non-zero, inside the cube, where the
+    cube's free-space convolution (same kernel entries) is the lattice's.
     """
     N, lam = float(params.N), float(params.lam)
     w, logw = blowup_on_domain(thermal_sol, N, lam, domain)
@@ -376,17 +395,23 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
     if target <= 0:
         raise ValueError("window mass exceeds the dilated thermal mass")
 
-    q_fixed = domain.embed(mu) - w
-    nu, h, obj, kkt, it = _t_minimize(
-        q_fixed, logw, target, domain, include_energy, tol, max_iter)
+    cube = _t_cube(domain, logw)
+    ker = GridKernel(cube[0].stop - cube[0].start, domain.layout.spacing,
+                     domain.d)
+    q_fixed = (domain.embed(mu) - w)[cube]
+    nu_cube, h, obj, kkt, it = _t_minimize(
+        q_fixed, logw[cube], domain.exterior_mask[cube], ker, target,
+        include_energy, tol, max_iter)
+    nu = np.zeros(w.shape)
+    nu[cube] = nu_cube
 
-    ker = grid_kernel(domain.layout)
-    q = q_fixed + nu
+    q = q_fixed + nu_cube
     # the minimizer's own potential: the same floats as ker.energy(q)
     energy_term = (ker.energy(q) if h is None
-                   else float(np.sum(q * h) * ker.cell_volume))
+                   else float(np.sum(q * h) * dv))
     extras = {"energy_term": energy_term,
-              "entropy_term": obj - (energy_term if include_energy else 0.0)}
+              "entropy_term": obj - (energy_term if include_energy else 0.0),
+              "solve_cells": ker.n}
 
     if thermal_sol.potential.kind == "quadratic":
         mu_v0 = thermal_sol.potential.equilibrium_density(domain.d)

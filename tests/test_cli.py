@@ -313,6 +313,10 @@ def test_rate_command_runs_phi_and_t(tmp_path, functional, name):
     if functional == "t":
         assert payload["energy_term"] + payload["entropy_term"] == \
             pytest.approx(payload["value"], rel=1e-12)
+        # the cube T solved on, at most the 4 x 2 cells of the lattice
+        solver = obj["solver"]
+        assert 1 <= payload["solve_cells"] <= \
+            solver["window_cells"] * solver["exterior_factor"]
 
 
 def test_infeasible_t_target_exits_2(tmp_path, capsys):

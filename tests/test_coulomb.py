@@ -194,6 +194,24 @@ def test_pruned_potential_property(d, n, spacing, kind, seed):
     _assert_matches_padded_convolution(ker, rho)
 
 
+@pytest.mark.parametrize("d, n, m, start", [(3, 32, 20, (6, 6, 6)),
+                                             (3, 12, 7, (0, 5, 3)),
+                                             (4, 10, 6, (2, 2, 4, 0))])
+def test_sub_cube_potential_is_the_lattice_potential_on_it(d, n, m, start):
+    """A charge supported in an m-cell sub-cube has, on that sub-cube, the
+    same free-space potential from the sub-cube's kernel (same spacing) as
+    from the whole lattice's: the convolution reaches no cell outside. The
+    two transforms round differently, so they agree to 1e-13 of the
+    potential's largest value (a signed charge cancels at some cells)."""
+    spacing = np.linspace(0.05, 0.4, d)[::-1] / n
+    cube = tuple(slice(s, s + m) for s in start)
+    q = np.zeros((n,) * d)
+    q[cube] = np.random.default_rng((7, d)).standard_normal((m,) * d)
+    whole = GridKernel(n, spacing, d).potential(q)[cube]
+    part = GridKernel(m, spacing, d).potential(q[cube])
+    assert np.max(np.abs(part - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
 def test_potential_at_points_matches_bruteforce():
     rng = np.random.default_rng(23)
     m = GridMeasure(Box.cube(np.zeros(3), 1.0), 4,

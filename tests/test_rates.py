@@ -5,14 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cholesky
 from scipy.optimize import nnls
 
 from mesogas.coulomb import dense_kernel_matrix
+from mesogas.equilibrium import solve_thermal
 from mesogas.grids import Box, GridMeasure, box_mass, dilate, mass
-from mesogas.rates import (ExteriorDomain, alpha_minimizer, blowup_on_domain,
-                           kappa_minimizer, n_rate, phi_rate,
-                           phi_scaling_check, t_rate)
+from mesogas.rates import (ExteriorDomain, _t_cube, alpha_minimizer,
+                           blowup_on_domain, kappa_minimizer, n_rate,
+                           phi_rate, phi_scaling_check, t_rate)
 
 INNER = Box.cube(np.zeros(3), 0.5)
 
@@ -269,6 +272,70 @@ def test_t_rate_full_value_dominates_entropy_part(quad, thermal):
         bare = t_rate(mu, params_like, sol, dom, include_energy=False)
     assert full.extras["energy_term"] >= -1e-10
     assert full.value >= bare.value - 1e-8
+
+
+def test_t_rate_on_the_whole_lattice_keeps_its_floats(thermal):
+    """log w is finite on every cell of this factor-2 lattice, so T solves
+    on the whole lattice with the arithmetic it had before it solved on a
+    cube: these are the floats recorded before that change."""
+    sol = thermal(32)
+    params_like = type("P", (), {"N": 32.0, "lam": 0.05})()
+    dom = small_domain(4, 2)
+    mu = GridMeasure.uniform(INNER, 4, 0.15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = t_rate(mu, params_like, sol, dom)
+        _, logw = blowup_on_domain(sol, 32.0, 0.05, dom)
+    assert np.all(np.isfinite(logw))
+    assert rep.extras["solve_cells"] == dom.layout.cells_per_axis == 8
+    assert rep.value == 0.09431380277408302
+    assert rep.extras["energy_term"] == 0.004782378616020059
+
+
+@pytest.fixture(scope="module")
+def thermal_d(quad):
+    """Factory for cached 8-cell thermal solves in d = 3 and 4."""
+    cache = {}
+
+    def get(N, d):
+        if (N, d) not in cache:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cache[N, d] = solve_thermal(quad, N, float(N) ** -0.3,
+                                            cells_per_axis=8, d=d)
+        return cache[N, d]
+
+    return get
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from([3, 4]), N=st.sampled_from([4, 16, 64, 256]),
+       lam=st.floats(0.0, 0.3), cells=st.sampled_from([2, 4]),
+       factor=st.integers(2, 4), half_width=st.floats(0.3, 3.0))
+def test_t_cube_holds_the_window_and_the_dilated_thermal_box(
+        thermal_d, d, N, lam, cells, factor, half_width):
+    """The cube T solves on is the smallest cube of lattice cells holding the
+    window and every cell where log w is finite, and it is the whole lattice
+    when log w is finite everywhere."""
+    dom = ExteriorDomain.build(Box.cube(np.zeros(d), half_width), cells,
+                               factor)
+    _, logw = blowup_on_domain(thermal_d(N, d), float(N), lam, dom)
+    cube = _t_cube(dom, logw)
+    n = dom.layout.cells_per_axis
+    side = cube[0].stop - cube[0].start
+    assert len(cube) == d
+    assert all(0 <= s.start and s.stop <= n and s.stop - s.start == side
+               for s in cube)
+    live = dom.interior_mask | np.isfinite(logw)
+    outside = live.copy()
+    outside[cube] = False
+    assert not outside.any()
+    # smallest: on some axis, live cells sit in both end slabs of the cube
+    inner = live[cube]
+    assert any(inner.take(0, axis=k).any() and inner.take(-1, axis=k).any()
+               for k in range(d))
+    if np.all(np.isfinite(logw)):
+        assert side == n
 
 
 def test_phi_background_gap_closes_with_n(quad, thermal):

@@ -21,10 +21,10 @@ import pytest
 
 from mesogas.cli import main
 from mesogas.construction import ConstructionParams, construct
-from mesogas.coulomb import grid_kernel
+from mesogas.coulomb import GridKernel, grid_kernel
 from mesogas.equilibrium import solve_equilibrium, solve_thermal, thermal_box
 from mesogas.grids import Box, GridMeasure
-from mesogas.rates import ExteriorDomain, phi_rate, t_rate
+from mesogas.rates import ExteriorDomain, blowup_on_domain, phi_rate, t_rate
 from mesogas.sampler import RegimeParams, gibbs_sample
 from test_cli import base_config
 
@@ -45,26 +45,57 @@ def test_solve_thermal_pinned(thermal):
 
 
 @pytest.fixture(scope="module")
-def sweep_t_rate(quad):
-    """The sweep_energy instance of the benchmark at N = 64."""
+def sweep_t_instance(quad):
+    """The sweep_energy instance of the benchmark at N = 64: the arguments
+    of its t_rate call."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")    # gamma = 0.3 is exploratory
         params = RegimeParams(64, 0.3, 0.05)
     th = solve_thermal(quad, 64, params.beta, cells_per_axis=16, tol=1e-8)
     domain = ExteriorDomain.build(params.window, 8, 4)
     mu = GridMeasure.uniform(params.window, 8, 0.1)
-    return t_rate(mu, params, th, domain, tol=1e-7)
+    return mu, params, th, domain
+
+
+@pytest.fixture(scope="module")
+def sweep_t_rate(sweep_t_instance):
+    return t_rate(*sweep_t_instance, tol=1e-7)
 
 
 def test_t_rate_pinned(sweep_t_rate):
     assert sweep_t_rate.value == pytest.approx(1.7056743281602564, rel=REL)
 
 
-def test_t_rate_energy_term_pinned(sweep_t_rate):
+def test_t_rate_energy_term_pinned(sweep_t_instance, sweep_t_rate):
     """The energy term is formed from the potential of the last accepted
-    mirror-descent step instead of a second transform; it is the float
-    GridKernel.energy gave before that reuse, to the last bit."""
-    assert sweep_t_rate.extras["energy_term"] == 0.18293761164990296
+    mirror-descent step, on the 20-cell cube that T solves on, so it is the
+    float that cube's GridKernel.energy gives, to the last bit. The whole
+    32-cell lattice's GridKernel.energy of the same charge agrees to
+    rounding: the charge vanishes outside the cube."""
+    assert sweep_t_rate.extras["energy_term"] == 0.18293761164990305
+    mu, params, th, domain = sweep_t_instance
+    w, _ = blowup_on_domain(th, params.N, params.lam, domain)
+    q = domain.embed(mu) - w + sweep_t_rate.minimizer.density
+    assert sweep_t_rate.extras["energy_term"] == pytest.approx(
+        grid_kernel(domain.layout).energy(q), rel=1e-14)
+
+
+def test_t_rate_never_transforms_the_whole_lattice(sweep_t_instance,
+                                                   monkeypatch):
+    """A guard on the size of T's transforms, with no timing in it: every
+    kernel t_rate builds is at most the 20-cell cube that holds the window
+    and the dilated thermal box, never the 32-cell lattice."""
+    sizes = []
+    build = GridKernel.__init__
+
+    def counting(self, cells_per_axis, spacing, d):
+        sizes.append(cells_per_axis)
+        build(self, cells_per_axis, spacing, d)
+
+    monkeypatch.setattr(GridKernel, "__init__", counting)
+    rep = t_rate(*sweep_t_instance, tol=1e-7)
+    assert sizes and max(sizes) <= 20, sizes
+    assert rep.extras["solve_cells"] == 20
 
 
 def test_phi_rate_pinned():
@@ -77,28 +108,39 @@ def test_phi_rate_pinned():
     assert rep.value == pytest.approx(0.09054999632517027, rel=REL)
 
 
-def _potential_digest(lattice: GridMeasure) -> str:
+def _potential_digest(ker: GridKernel) -> str:
     rng = np.random.default_rng(2026)
-    h = grid_kernel(lattice).potential(rng.standard_normal(lattice.density.shape))
+    h = ker.potential(rng.standard_normal(ker.shape))
     return hashlib.sha256(h.tobytes()).hexdigest()
 
 
-def test_grid_potential_pinned_on_t_rate_lattice():
-    """The 32 cells of the 4x truncation box that sweep_energy's T rate
-    solves on at N = 64 (a 63^3 padded transform)."""
+def _sweep_energy_layout() -> GridMeasure:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")    # gamma = 0.3 is exploratory
         params = RegimeParams(64, 0.3, 0.05)
-    layout = ExteriorDomain.build(params.window, 8, 4).layout
-    assert _potential_digest(layout) == (
+    return ExteriorDomain.build(params.window, 8, 4).layout
+
+
+def test_grid_potential_pinned_on_t_rate_lattice():
+    """The 32 cells of sweep_energy's 4x truncation box at N = 64 (a 63^3
+    padded transform), the lattice phi_rate solves on."""
+    assert _potential_digest(grid_kernel(_sweep_energy_layout())) == (
         "35af7e4ec7bc6bcba6987c7384ea54e16e48c72c55de8695e352dda4d5221cc4")
+
+
+def test_grid_potential_pinned_on_t_rate_cube():
+    """The 20-cell cube of that lattice that T solves on at N = 64 (a 40^3
+    padded transform), built from the lattice's spacing."""
+    layout = _sweep_energy_layout()
+    assert _potential_digest(GridKernel(20, layout.spacing, 3)) == (
+        "210368d117c8a24ab304ff6310d9d739eaba508c0ea3db68a90ad2b4eee95bce")
 
 
 def test_grid_potential_pinned_on_criterion_1_lattice(quad):
     """The 48-cell thermal lattice of acceptance criterion 1 at N = 64
     (a 96^3 padded transform)."""
     box = thermal_box(quad, 64, 64.0 ** -0.3, 3)
-    assert _potential_digest(GridMeasure.zeros(box, 48)) == (
+    assert _potential_digest(grid_kernel(GridMeasure.zeros(box, 48))) == (
         "7a840b5f8b04cf239e9bcc532ca96621e06bdff16a0c8206fffc2b5bb303c38d")
 
 
