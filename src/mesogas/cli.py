@@ -20,12 +20,16 @@ rate stage evaluates the rate functional (for T, after its thermal solve).
 The sweep runs them as 2R tasks, every ball stage in row order and then
 every rate stage, on W workers: one per CPU the caller may run on
 (``os.sched_getaffinity``), at most one per task. The calling process is
-worker 0 and forked helpers are the others. Worker w runs task w first;
-then each worker takes the next task no worker has taken, from one shared
-counter, until none is left. With one worker, or where "fork" is not
-available, no process is started. A stage's numbers do not depend on the
-process that ran it, so ``sweep.csv`` and ``sweep_regression.json`` are
-the same for any worker count, and stderr reports each row in row order.
+worker 0 and helpers forked with ``os.fork`` are the others. Worker w runs
+task w first; then each worker takes the next task no worker has taken
+from a pipe that holds that task's number, and puts the following number
+back, until none is left. Each helper sends its results back pickled
+through a pipe of its own; one that exits without them fails the sweep
+with a ``RuntimeError`` naming its pid. With one worker, or where
+``os.fork`` is not available, no process is started. A stage's numbers do
+not depend on the process that ran it, so ``sweep.csv`` and
+``sweep_regression.json`` are the same for any worker count, and stderr
+reports each row in row order.
 A failed stage leaves NaN in its own columns and its text in ``error``
 (both texts, ball first and joined by "; ", when both fail); a row whose
 p_hat is 0 or 1 gets a note that it measured no large deviation.
@@ -69,6 +73,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import sys
 import time
 import warnings
@@ -640,24 +645,25 @@ def _sweep_task(cfg: ExperimentConfig, params: RegimeParams,
 
 
 def _drain_tasks(cfg: ExperimentConfig, tasks: list, first: int,
-                 counter) -> dict:
-    """Run task `first`, then the task whose index `counter` hands out
-    next, until the list is exhausted; returns {index: result}."""
+                 counter: tuple[int, int]) -> dict:
+    """Run task `first`, then the task whose index the `counter` pipe
+    hands out next, until the list is exhausted; returns {index: result}.
+    The pipe holds one number, the next task no worker has taken: a worker
+    that reads it holds the others off until it writes the one after."""
+    reader, writer = counter
     done = {}
     index = first
     while index < len(tasks):
         done[index] = _sweep_task(cfg, *tasks[index])
-        with counter.get_lock():
-            index = counter.value
-            counter.value += 1
+        index = int.from_bytes(os.read(reader, 8), "little")
+        os.write(writer, (index + 1).to_bytes(8, "little"))
     return done
 
 
 def _sweep_workers(rows: int) -> int:
     """Processes for a sweep of `rows` rows: one per CPU this process may
     run on, at most one per task (two per row), and only the caller where
-    helpers cannot be forked (there is no "fork" start method without
-    os.fork)."""
+    helpers cannot be forked (there is no os.fork)."""
     if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
         return 1
     return max(1, min(len(SWEEP_STAGES) * rows,
@@ -667,51 +673,63 @@ def _sweep_workers(rows: int) -> int:
 def _run_sweep_tasks(cfg: ExperimentConfig, tasks: list,
                      workers: int) -> list:
     """Every task's result, in task order, from `workers` processes: the
-    caller and workers - 1 forked helpers. Worker w runs task w first, then
-    each worker takes the next task no worker has taken yet."""
+    caller and workers - 1 helpers forked with os.fork. Worker w runs task
+    w first, then each worker takes the next task no worker has taken yet
+    from the one number in a shared pipe."""
     if workers == 1:
         return [_sweep_task(cfg, *task) for task in tasks]
-    # imported here, so that the other subcommands do not load it
-    import multiprocessing
-
     # forked helpers inherit the loaded modules (no second import of numpy
-    # and scipy) and their arguments, counter included, without pickling;
-    # only their results travel back, through a pipe each. The caller
-    # starts no thread, and OpenBLAS stops its thread pool before a fork
-    # (its atfork handler). Helpers also inherit the stdio buffers, which
-    # must be empty so that a helper does not write them again when it
-    # exits.
-    ctx = multiprocessing.get_context("fork")
-    counter = ctx.Value("i", workers)
+    # and scipy), their arguments and the task pipe; only their results
+    # travel back, pickled through a pipe each. The caller starts no
+    # thread, and OpenBLAS stops its thread pool before a fork (its atfork
+    # handler). Helpers also inherit the stdio buffers, which must be
+    # empty so that a helper does not write them again when it exits.
+    counter = os.pipe()
+    os.write(counter[1], workers.to_bytes(8, "little"))
     sys.stdout.flush()
     sys.stderr.flush()
-    helpers = []
-
-    def helper(first, conn):
-        conn.send(_drain_tasks(cfg, tasks, first, counter))
-
+    pending = {}        # pid: read end of its results, for each helper
     try:
         for first in range(1, workers):
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=helper, args=(first, writer))
-            proc.start()
-            writer.close()    # so a helper that dies leaves an EOF
-            helpers.append((proc, reader))
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the helper never returns into the caller's code; it writes
+                # out what it printed since the fork, and exits with status
+                # 0 only once its results are written
+                status = 1
+                try:
+                    with os.fdopen(writer, "wb") as fh:
+                        pickle.dump(_drain_tasks(cfg, tasks, first, counter),
+                                    fh)
+                    status = 0
+                finally:
+                    sys.stdout.flush()
+                    sys.stderr.flush()
+                    os._exit(status)
+            os.close(writer)    # so a helper that dies leaves an EOF
+            pending[pid] = reader
         done = _drain_tasks(cfg, tasks, 0, counter)
-        for proc, reader in helpers:
-            try:
-                done.update(reader.recv())
-            except EOFError:
-                raise RuntimeError(f"sweep helper {proc.pid} exited "
-                                   "without its results") from None
+        while pending:
+            pid, reader = pending.popitem()
+            with os.fdopen(reader, "rb") as fh:
+                data = fh.read()
+            if os.waitpid(pid, 0)[1] != 0:
+                raise RuntimeError(f"sweep helper {pid} exited without "
+                                   "its results")
+            done.update(pickle.loads(data))
     except BaseException:
-        for proc, _ in helpers:
-            proc.terminate()
+        # imported here, so that only a sweep that fails loads it
+        import signal
+
+        for pid in pending:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for proc, reader in helpers:
-            reader.close()
-            proc.join()
+        for pid in pending:
+            os.waitpid(pid, 0)
+        for fd in (*pending.values(), *counter):
+            os.close(fd)
     return [done[j] for j in range(len(tasks))]
 
 

@@ -330,10 +330,9 @@ def potential_field(atoms: AtomicMeasure, like: GridMeasure,
     is ``grid_kernel(m).potential(m.density)``.
     """
     # the atoms are the sources, with unit weights scaled by their common one
-    flat = kernels.grid_potential_at_points(
-        np.ones(atoms.count), np.ascontiguousarray(atoms.points),
-        atoms.weight, like.cell_centers(), float(smear_radius), float(like.d))
-    return flat.reshape(like.density.shape)
+    return kernels.grid_potential_at_points(
+        np.ones(atoms.count), like.cell_axes(), atoms.weight, atoms.points,
+        float(smear_radius), float(like.d))
 
 
 def potential_at_points(m: GridMeasure, points: np.ndarray,
@@ -348,8 +347,7 @@ def potential_at_points(m: GridMeasure, points: np.ndarray,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     distinct, inverse = np.unique(pts, axis=0, return_inverse=True)
     out = kernels.grid_potential_at_points(
-        np.ascontiguousarray(m.density.ravel()), m.cell_centers(),
-        m.cell_volume, distinct, radius, float(m.d))
+        m.density, m.cell_axes(), m.cell_volume, distinct, radius, float(m.d))
     # the inverse's shape differs across numpy versions
     return out[inverse.reshape(-1)]
 

@@ -101,13 +101,6 @@ class Box:
         return Box(c, np.full(c.shape[0], float(R)))
 
 
-def _lattice_centers(low: np.ndarray, spacing: np.ndarray, n: int) -> np.ndarray:
-    """(n^d, d) centers of an n-per-axis lattice, row-major cell order."""
-    axes = [low[k] + (np.arange(n) + 0.5) * spacing[k] for k in range(len(low))]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
@@ -150,8 +143,15 @@ class GridMeasure:
     def cell_diagonal(self) -> float:
         return float(np.linalg.norm(self.spacing))
 
+    def cell_axes(self) -> np.ndarray:
+        """(d, n) cell centers along each axis."""
+        n = self.cells_per_axis
+        return self.box.low[:, None] + (np.arange(n) + 0.5) * self.spacing[:, None]
+
     def cell_centers(self) -> np.ndarray:
-        return _lattice_centers(self.box.low, self.spacing, self.cells_per_axis)
+        """(n^d, d) cell centers, row-major cell order."""
+        mesh = np.meshgrid(*self.cell_axes(), indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
 
     def cell_index(self, points: np.ndarray) -> np.ndarray:
         """Flat row-major index of the cell containing each point, -1 outside."""

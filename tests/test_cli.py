@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -745,7 +744,7 @@ def test_sweep_output_does_not_depend_on_the_worker_count(tmp_path,
     def no_processes(*args, **kwargs):
         raise AssertionError("a one-CPU sweep must not start a process")
 
-    monkeypatch.setattr(multiprocessing, "get_context", no_processes)
+    monkeypatch.setattr(os, "fork", no_processes)
     alone, timing = _three_row_sweep(tmp_path, monkeypatch, 1)
     assert {t["pid"] for t in timing["tasks"]} == {os.getpid()}
     for name in ("sweep.csv", "sweep_regression.json"):
@@ -762,22 +761,48 @@ def test_sweep_workers_stop_at_two_per_row(monkeypatch):
     assert cli._sweep_workers(3) == 1
 
 
-def test_sweep_workers_take_each_task_once(monkeypatch):
+def test_sweep_workers_take_each_task_once(tmp_path, monkeypatch):
     """Four workers, more than a small host has CPUs, drain 20,000 trivial
-    tasks from the shared counter: each task runs exactly once, and each
-    worker runs its own first task."""
-    runs = multiprocessing.get_context("fork").Array("i", 20000)
+    tasks through the task pipe: each task runs exactly once, and each
+    worker runs its own first task. Every run appends its task index to
+    one file, whose appends do not interleave."""
+    log = os.open(tmp_path / "runs", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def record(cfg, task, stage):
-        with runs.get_lock():
-            runs[task] += 1
+        os.write(log, task.to_bytes(4, "little"))
         return os.getpid()
 
     monkeypatch.setattr(cli, "_sweep_task", record)
-    pids = cli._run_sweep_tasks(None, [(j, "ball") for j in range(20000)], 4)
-    assert list(runs) == [1] * 20000
+    try:
+        pids = cli._run_sweep_tasks(None, [(j, "ball")
+                                           for j in range(20000)], 4)
+    finally:
+        os.close(log)
+    runs = np.frombuffer((tmp_path / "runs").read_bytes(), dtype="<i4")
+    assert np.array_equal(np.bincount(runs, minlength=20000), [1] * 20000)
     assert pids[0] == os.getpid()
     assert len(set(pids[:4])) == 4
+
+
+def test_a_helper_that_dies_fails_the_sweep(monkeypatch):
+    """A helper that exits in the middle of a task makes the sweep raise a
+    RuntimeError that names its pid, and the caller reaps every helper it
+    forked, the dead one and the others, before raising."""
+    parent = os.getpid()
+
+    def dying(cfg, task, stage):
+        if task == 1 and os.getpid() != parent:
+            os._exit(3)
+        return os.getpid()
+
+    monkeypatch.setattr(cli, "_sweep_task", dying)
+    with pytest.raises(RuntimeError, match=r"sweep helper (\d+) exited") \
+            as excinfo:
+        cli._run_sweep_tasks(None, [(j, "ball") for j in range(40)], 3)
+    pid = int(excinfo.value.args[0].split()[2])
+    assert pid != parent
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_reports_what_happens_in_helper_rows(tmp_path, monkeypatch,

@@ -236,8 +236,8 @@ def test_potential_field_of_atoms_equals_its_single_point_evaluations():
     atoms = AtomicMeasure(rng.uniform(-1.0, 1.0, (64, 3)), 0.25)
     radius = default_smear_radius(like)
     alone = [kernels.grid_potential_at_points(
-        np.ones(atoms.count), atoms.points, atoms.weight, centre[None],
-        radius, 3.0)[0] for centre in like.cell_centers()]
+        np.ones(atoms.count), centre[:, None], atoms.weight, atoms.points,
+        radius, 3.0).item() for centre in like.cell_centers()]
     assert np.array_equal(potential_field(atoms, like, radius).ravel(), alone)
 
 

@@ -276,6 +276,42 @@ def test_lp_stack_loads_only_for_a_config_that_solves_a_bl_lp(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_a_forked_sweep_loads_neither_multiprocessing_nor_ctypes(tmp_path):
+    """A two-worker ``mesogas sweep`` forks its helper with os.fork, so
+    neither the caller nor the helper loads ``multiprocessing``, nor the
+    ``ctypes`` its shared counter needed. numpy 2 loads ``ctypes`` on
+    import; where it does, ctypes is already there before the sweep."""
+    from test_cli import base_config
+
+    obj = base_config()
+    obj["grid"]["N"] = [6, 8]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    script = textwrap.dedent(f"""
+        import json, os, sys, warnings
+        import numpy
+        numpy_ctypes = "ctypes" in sys.modules
+        os.sched_getaffinity = lambda pid: {{0, 1}}
+        from mesogas.cli import main
+        warnings.simplefilter("ignore")
+        if main(["sweep", "--config", {str(path)!r}, "--out", {str(out)!r}]):
+            sys.exit("the sweep failed")
+        timing = json.load(open({str(out / "sweep_timing.json")!r}))
+        if timing["workers"] != 2:
+            sys.exit(f"{{timing['workers']}} workers")
+        loaded = [m for m in sys.modules if m.split(".")[0] in
+                  ("multiprocessing", "_multiprocessing")]
+        if "ctypes" in sys.modules and not numpy_ctypes:
+            loaded.append("ctypes")
+        sys.exit(f"the sweep loaded {{loaded}}" if loaded else 0)
+        """)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_scipy_imports_after_the_package_reuse_its_compiled_modules():
     """With the package and its LP stack loaded first, ``import scipy.fft``
     and ``from scipy.optimize import linprog`` reuse the compiled modules

@@ -21,8 +21,10 @@ import pytest
 
 from mesogas.cli import main
 from mesogas.construction import ConstructionParams, construct
-from mesogas.coulomb import GridKernel, grid_kernel
-from mesogas.equilibrium import solve_equilibrium, solve_thermal, thermal_box
+from mesogas.coulomb import (GridKernel, default_smear_radius, grid_kernel,
+                             potential_at_points, potential_field)
+from mesogas.equilibrium import (Potential, solve_equilibrium, solve_thermal,
+                                 thermal_box)
 from mesogas.grids import Box, GridMeasure
 from mesogas.rates import ExteriorDomain, blowup_on_domain, phi_rate, t_rate
 from mesogas.sampler import RegimeParams, gibbs_sample
@@ -144,6 +146,21 @@ def test_grid_potential_pinned_on_criterion_1_lattice(quad):
         "7a840b5f8b04cf239e9bcc532ca96621e06bdff16a0c8206fffc2b5bb303c38d")
 
 
+def test_smeared_potential_pinned_on_criterion_1_lattice(quad):
+    """potential_at_points on the 48-cell thermal lattice of acceptance
+    criterion 1 at N = 64, at the default smear radius, for 64 points
+    drawn as that criterion draws them; a third of the cells are empty."""
+    box = thermal_box(quad, 64, 64.0 ** -0.3, 3)
+    rng = np.random.default_rng(2026)
+    density = rng.uniform(0.0, 1.0, (48,) * 3)
+    density[rng.random(density.shape) < 1.0 / 3.0] = 0.0
+    hw = 0.9 * box.half_width[0]
+    h = potential_at_points(GridMeasure(box, 48, density),
+                            rng.uniform(-hw, hw, (64, 3)))
+    assert hashlib.sha256(h.tobytes()).hexdigest() == (
+        "b2fb61ce81f125ac2d72a8d1a7be766b3589298843485ba3ac3573920c0d46d2")
+
+
 @pytest.fixture(scope="module")
 def construct_report():
     """The construct workload of the benchmark: N = 320 on a 6-cell target,
@@ -184,6 +201,19 @@ def test_construction_outputs_pinned(construct_report):
     assert report.min_separation == pytest.approx(0.04047025630600889,
                                                   rel=REL)
     assert report.tau_min == pytest.approx(0.03968502629920499, rel=REL)
+
+
+def test_construction_atoms_field_pinned(construct_report):
+    """potential_field of the placed atoms on the 6-cell target lattice, at
+    the smear radius certify uses and at one cell diagonal."""
+    like = GridMeasure.zeros(Box.cube(np.zeros(3), 1.0), 6)
+    atoms = construct_report.configuration
+    h = hashlib.sha256()
+    for radius in (0.5 * construct_report.tau_min,
+                   default_smear_radius(like)):
+        h.update(potential_field(atoms, like, radius).tobytes())
+    assert h.hexdigest() == (
+        "0b10bd2d946642d02837cdc1f7f71e0a51379723fed278b23c2f2d3dcab42527")
 
 
 def _sweep_energy_config():
@@ -246,6 +276,42 @@ def test_few_particle_chains_pinned(quad, N, potential, chain_index, digest):
         h.update(np.array([s.hamiltonian for s in states]).tobytes())
         h.update(np.array([s.accepted for s in states]).tobytes())
     assert h.hexdigest() == digest
+
+
+def _lockstep_digest(runs) -> str:
+    h = hashlib.sha256()
+    for states in runs:
+        h.update(np.stack([s.points for s in states]).tobytes())
+        h.update(np.array([s.hamiltonian for s in states]).tobytes())
+        h.update(np.array([s.accepted for s in states]).tobytes())
+    return h.hexdigest()
+
+
+def test_four_dimensional_lockstep_chains_pinned(quad):
+    """Three chains of N = 8 in d = 4, where each pair distance sums four
+    squares: the positions, Hamiltonians and acceptance counts of every
+    snapshot."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # lambda = 0.1 is exploratory
+        params = RegimeParams(N=8, gamma=0.5, lam=0.1, d=4)
+    runs = gibbs_sample(params, quad, 1600, 400, seed=5,
+                        chain_index=range(3))
+    assert _lockstep_digest(runs) == (
+        "4389127455a4b69629be88c001d11ebd3ae81085599ffa4d9dc42a3c054c3e30")
+
+
+def test_tabulated_potential_chains_pinned(quad):
+    """Two chains of N = 8 under a tabulated V, whose box is small enough
+    that some proposals leave it: V is called on the moving points, not
+    formed from their squared norms."""
+    like = GridMeasure.zeros(Box.cube(np.zeros(3), 1.5), 8)
+    V = Potential("tabulated", table=like.with_density(quad.on_grid(like)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # gamma = 0.3 is exploratory
+        params = RegimeParams(N=8, gamma=0.3, lam=0.05)
+    runs = gibbs_sample(params, V, 1600, 400, seed=6, chain_index=range(2))
+    assert _lockstep_digest(runs) == (
+        "5ec927c6123f699fa08fd843aa45a5a432bbe4d053b3d030360a17eb7ff32fb8")
 
 
 @pytest.fixture(scope="module")
