@@ -136,7 +136,7 @@ CONFIG_KEYS = {
     (None, "R"): ("R", float, 1.0, "> 0"),
     (None, "seed"): ("seed", _count, 20240817, None),
     ("potential", "kind"): ("potential_kind", str, "quadratic",
-                            ("quadratic",)),  # no config holds a table
+                            ("quadratic",)),  # V = coef |x|^2, the only V
     ("potential", "coef"): ("potential_coef", float, 1.0, "> 0"),
     ("grid", "N"): ("grid_N", lambda v: [*map(_count, _list(v))], (), None),
     ("grid", "gamma"): ("grid_gamma", _exponents, (), None),
@@ -216,8 +216,7 @@ class ExperimentConfig:
         cfg = ExperimentConfig()
         for (section, key), (attr, *_) in CONFIG_KEYS.items():
             setattr(cfg, attr, _value(section, key, given[section].get(key)))
-        cfg.potential = Potential(kind=cfg.potential_kind,
-                                  coef=cfg.potential_coef)
+        cfg.potential = Potential(cfg.potential_coef)
         axes = (cfg.grid_N, cfg.grid_gamma, cfg.grid_lambda)
         if any(axes) and not all(axes):
             raise ConfigError("grid must provide N, gamma, and lambda")

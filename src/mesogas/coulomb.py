@@ -304,8 +304,9 @@ def dense_kernel_matrix(like: GridMeasure) -> np.ndarray:
     n = centers.shape[0]
     if n > 20000:
         raise ValueError("dense kernel matrix requested for a large grid")
-    diff = centers[:, None, :] - centers[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    diff = centers.T[:, :, None] - centers.T[:, None, :]
+    diff *= diff
+    r2 = kernels._axis_sum(diff, diff[0])
     K = np.zeros((n, n))
     nz = r2 > 0
     K[nz] = r2[nz] ** (0.5 * (2.0 - like.d))

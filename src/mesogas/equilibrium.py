@@ -36,49 +36,38 @@ import numpy as np
 
 from .coulomb import SpaceParams, grid_kernel
 from .grids import Box, GridMeasure
+from .kernels import _axis_sum
 
 
 @dataclass(frozen=True)
 class Potential:
-    """Confining potential: V(x) = coef * |x|^2, or tabulated cell values."""
+    """Confining potential V(x) = coef * |x|^2, coef finite and > 0."""
 
-    kind: str = "quadratic"
-    coef: float = 1.0
-    table: GridMeasure | None = None
+    coef: float
 
     def __post_init__(self):
-        if self.kind not in ("quadratic", "tabulated"):
-            raise ValueError("potential kind must be 'quadratic' or 'tabulated'")
-        if self.kind == "tabulated" and self.table is None:
-            raise ValueError("tabulated potential requires a table")
+        if not (math.isfinite(self.coef) and self.coef > 0):
+            raise ValueError(
+                f"potential coef must be finite and > 0, not {self.coef!r}")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "quadratic":
-            return self.coef * np.einsum("ik,ik->i", pts, pts)
-        if not np.all(self.table.box.contains(pts)):
-            raise ValueError("tabulated potential evaluated outside its box")
-        return self.table.density_at(pts)
+        pts = np.atleast_2d(np.asarray(points, dtype=float)).T
+        return self.coef * _axis_sum(pts * pts, np.empty(pts.shape[1]))
 
     def on_grid(self, like: GridMeasure) -> np.ndarray:
         return self(like.cell_centers()).reshape(like.density.shape)
 
     def equilibrium_density(self, d: int) -> float:
-        """Density d coef / |c_d| of the equilibrium measure (quadratic V)."""
-        if self.kind != "quadratic":
-            raise ValueError("analytic density known only for quadratic V")
+        """Density d coef / |c_d| of the equilibrium measure."""
         return d * self.coef / abs(SpaceParams(d).c_d)
 
     def equilibrium_radius(self, d: int) -> float:
-        """Support radius of the equilibrium measure (quadratic V, analytic)."""
+        """Support radius of the equilibrium measure (analytic)."""
         dens = self.equilibrium_density(d)
         return (1.0 / (SpaceParams(d).ball_volume * dens)) ** (1.0 / d)
 
     def to_json(self) -> dict:
-        if self.kind == "quadratic":
-            return {"kind": "quadratic", "coef": self.coef}
-        from .grids import measure_to_json
-        return {"kind": "tabulated", "table": measure_to_json(self.table)}
+        return {"kind": "quadratic", "coef": self.coef}
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,18 +146,14 @@ def _project_simplex(z: np.ndarray, total: float) -> np.ndarray:
 
 
 def check_confining(V: Potential, like: GridMeasure) -> float:
-    """Margin by which the boundary repels mass, for quadratic potentials.
+    """Margin by which the boundary repels mass.
 
-    The quadratic-V equilibrium is the uniform ball of known radius r and
+    The equilibrium is the uniform ball of known radius r and
     Euler-Lagrange constant k = d r^{2-d}, so the effective field
     2 h + V - k is exactly computable: zero on the support, positive beyond.
     Returns its minimum over boundary cell centers. Nonpositive means the box
     does not strictly contain the equilibrium support; solvers warn.
-    Tabulated potentials return +inf here (the post-solve boundary-support
-    check covers them).
     """
-    if V.kind != "quadratic":
-        return np.inf
     from .coulomb import ball_potential
     d = like.d
     r = V.equilibrium_radius(d)
@@ -329,8 +314,6 @@ def thermal_box(V: Potential, N: float, beta: float, d: int) -> Box:
     d r^{2-d} of the quadratic equilibrium. The equilibrium support also
     fits with margin.
     """
-    if V.kind != "quadratic":
-        raise ValueError("automatic box sizing requires a quadratic potential")
     r = V.equilibrium_radius(d)
     k = d * r ** (2 - d)
     hw_tail = math.sqrt((k - math.log(1e-12) / (N * beta)) / V.coef)

@@ -2,8 +2,9 @@
 
 Conventions shared by all kernels:
   * points are (n, d) float64 arrays, d >= 3, and a lattice is its (d, n)
-    per-axis cell centers; the Metropolis kernel steps C chains in
-    lockstep on a (C, N, d) array, internally on a (d, C, N) copy
+    per-axis cell centers; the Metropolis kernel steps C chains under
+    V(x) = vcoef*|x|^2 in lockstep on a (C, N, d) array, internally on a
+    (d, C, N) copy
   * the interaction kernel is g(x) = |x|^(2-d)
   * a "smeared" evaluation replaces a point charge by the uniform ball of
     radius r around it; by Newton's theorem the resulting potential has the
@@ -14,7 +15,9 @@ Conventions shared by all kernels:
 Accumulation order is fixed, so results are deterministic for a given seed:
 ``_axis_sum`` adds the per-axis squares of every squared distance in one
 order on every host, the even-indexed axes, then the odd ones, then the two
-sums (np.einsum's order on the hosts where the pins were recorded).
+sums (np.einsum's order on the hosts where the pins were recorded). The
+confinement V(x) = coef |x|^2 and the dense kernel matrix sum their
+squares with it too, so no module of the package calls np.einsum.
 
 ``_scipy_extension`` is the one place where the package loads a compiled
 module of scipy's directly, past the ``__init__`` of the packages above it.
@@ -182,19 +185,17 @@ def grid_potential_at_points(weights, axes, scale, points, radius, d):
 
 
 def run_chain_quadratic(x, scale, beta, nweight, vcoef, d,
-                        normals, unifs, sites, ham_in, V=None):
+                        normals, unifs, sites, ham_in):
     """Single-site Metropolis steps of C chains in lockstep, for
-    V(x) = vcoef*|x|^2 or for a callable V.
+    V(x) = vcoef*|x|^2.
 
     `x` is (C, N, d) and is mutated in place; `scale` and `ham_in` hold one
     value per chain. `normals`, `unifs` and `sites` hold one row per
     proposal, step-major: row t*C + c is chain c's proposal at step t.
     Each chain's arithmetic is that of a chain stepped alone, so its
     trajectory does not depend on the others. The confinement increment is
-    nweight*vcoef*(|new|^2 - |old|^2); when V is given it is
-    nweight*(V(new) - V(old)) instead, V called once per step on the (C, d)
-    points, and vcoef is unused. A coincident proposal has an infinite
-    increment and is rejected.
+    nweight*vcoef*(|new|^2 - |old|^2). A coincident proposal has an
+    infinite increment and is rejected.
     Returns (total accepted, hamiltonians (C,), accepted per chain (C,)).
     """
     C, N = x.shape[0], x.shape[1]
@@ -240,11 +241,8 @@ def run_chain_quadratic(x, scale, beta, nweight, vcoef, d,
                     others = firsts + (lower >= sites[t:t + chunk])
                 dham = 2.0 * np.add.reduce(terms.take(others[t % chunk]),
                                            axis=1)
-            if V is None:
-                norms = _rowdot(step, step)
-                dham = dham + nweight * vcoef * (norms[1] - norms[0])
-            else:
-                dham = dham + nweight * (V(new) - V(old))
+            norms = _rowdot(step, step)
+            dham = dham + nweight * vcoef * (norms[1] - norms[0])
             take = unifs[t] < np.exp(-beta * dham)
             flat[moving[t]] = np.where(take[:, None], new, old)
             np.add(ham, dham, out=ham, where=take)

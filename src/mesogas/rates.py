@@ -363,9 +363,9 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
     """T(mu) = min_nu E(mu + nu - w) + ent[nu|w] with |nu| = |w| - |mu|.
 
     w is the thermal measure dilated by N^lambda (params supplies N and lam).
-    The report's value is T; extras carry the energy/entropy split and, for
-    a quadratic potential, the script variant T + ent[mu | mu_v0 1_window]
-    with mu_v0 its equilibrium density. ``include_energy=False`` drops the
+    The report's value is T; extras carry the energy/entropy split and the
+    script variant T + ent[mu | mu_v0 1_window], with mu_v0 the
+    potential's equilibrium density. ``include_energy=False`` drops the
     quadratic term, which reduces the problem to the closed-form kappa
     minimizer (used as an oracle in tests). A dilated thermal mass off
     N^(lambda d) by over 0.1% warns, blaming truncation when the truncation
@@ -413,12 +413,11 @@ def t_rate(mu: GridMeasure, params, thermal_sol, domain: ExteriorDomain,
               "entropy_term": obj - (energy_term if include_energy else 0.0),
               "solve_cells": ker.n}
 
-    if thermal_sol.potential.kind == "quadratic":
-        mu_v0 = thermal_sol.potential.equilibrium_density(domain.d)
-        ref = GridMeasure.uniform(domain.interior, mu.cells_per_axis,
-                                  value=float(mu_v0))
-        extras["t_script"] = obj + relative_entropy(mu, ref)
-        extras["mu_v0"] = float(mu_v0)
+    mu_v0 = thermal_sol.potential.equilibrium_density(domain.d)
+    ref = GridMeasure.uniform(domain.interior, mu.cells_per_axis,
+                              value=float(mu_v0))
+    extras["t_script"] = obj + relative_entropy(mu, ref)
+    extras["mu_v0"] = float(mu_v0)
     minimizer = domain.exterior_measure(nu)
     return RateReport(functional="T", value=obj, minimizer=minimizer,
                       iterations=it, kkt_residual=kkt,

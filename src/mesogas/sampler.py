@@ -4,6 +4,7 @@ The Hamiltonian is the ordered-pair interaction plus an N-weighted potential,
 
     H_N(X) = sum_{i != j} g(x_i - x_j) + N sum_i V(x_i),
 
+with the one confinement V(x) = coef |x|^2 (``equilibrium.Potential``),
 and the Gibbs measure is (1/Z) exp(-beta H_N) with beta = N^{-gamma}.
 ``RegimeParams`` alone decides the regime, against gamma* = 1 - 2 lambda
 exactly, and ``speed_exponents`` gives the decay-speed exponents.
@@ -207,24 +208,17 @@ def _propose_batch(rng, n_props: int, N: int, d: int):
     return sites, normals, unifs
 
 
-# Draws of a chain's start before gibbs_sample gives up. An N = 8 start at
-# scale 0.64 lies in a table of half width 1 with probability about 0.05.
-START_DRAWS = 1000
-
-
 def gibbs_sample(params: RegimeParams, V, steps: int, burn_in: int,
                  seed: int, chain_index: int | Sequence[int] = 0
                  ) -> list[ChainState] | list[list[ChainState]]:
     """Metropolis chains for (1/Z) exp(-beta H_N); returns thinned snapshots.
 
-    Each chain starts from a centred Gaussian draw, drawn again while its
-    energy is infinite (a point off a tabulated potential's box), at most
-    START_DRAWS times. Proposals are single-site Gaussian moves. During
-    burn-in each chain's scale is retuned every window toward 35%
-    acceptance, then frozen. One sample is recorded every N proposals
-    after burn-in. Each chain draws from its own RNG stream, derived from
-    (seed, chain_index), so trajectories are reproducible and chains with
-    different indices are independent.
+    Each chain starts from a centred Gaussian draw. Proposals are
+    single-site Gaussian moves. During burn-in each chain's scale is
+    retuned every window toward 35% acceptance, then frozen. One sample is
+    recorded every N proposals after burn-in. Each chain draws from its own
+    RNG stream, derived from (seed, chain_index), so trajectories are
+    reproducible and chains with different indices are independent.
 
     `chain_index` is one index, whose snapshot list is returned, or a
     sequence of indices, whose chains step in lockstep through one kernel
@@ -241,27 +235,10 @@ def gibbs_sample(params: RegimeParams, V, steps: int, burn_in: int,
     C = len(indices)
     rngs = [default_rng((seed, c)) for c in indices]
 
-    quadratic = getattr(V, "kind", None) == "quadratic"
-    vcoef, general_v = (float(V.coef), None) if quadratic else (0.0, V)
-    if getattr(V, "kind", None) == "tabulated":
-        # V is +inf off its table's box, so such proposals are rejected and
-        # such starts drawn again
-        general_v = lambda p: V.table.density_at(p, fill=np.inf)
     init_scale = 1.0 / math.sqrt(2.0 * max(N * beta, 1e-12))
-    if quadratic:
-        init_scale /= math.sqrt(V.coef)
-    init_scale = max(init_scale, 1e-3)
-    x = np.empty((C, N, d))
-    ham = np.empty(C)
-    for c, rng in enumerate(rngs):
-        for _ in range(START_DRAWS):
-            x[c] = rng.standard_normal((N, d)) * init_scale
-            ham[c] = hamiltonian(x[c], general_v or V, N)
-            if math.isfinite(ham[c]):
-                break
-        else:
-            raise ValueError(f"no start of finite energy in {START_DRAWS} "
-                             f"draws at scale {init_scale:.3g}")
+    init_scale = max(init_scale / math.sqrt(V.coef), 1e-3)
+    x = np.stack([rng.standard_normal((N, d)) for rng in rngs]) * init_scale
+    ham = np.array([hamiltonian(xc, V, N) for xc in x])
 
     scale = [0.5 / max(N * beta, 1.0) ** 0.5] * C
     accepted_total = np.zeros(C, dtype=np.int64)
@@ -278,9 +255,9 @@ def gibbs_sample(params: RegimeParams, V, steps: int, burn_in: int,
             sites[:, c], normals[:, c], unifs[:, c] = _propose_batch(
                 rng, n_props, N, d)
         _, ham[:], acc = kernels.run_chain_quadratic(
-            x, np.array(scale), beta, float(N), vcoef, d,
+            x, np.array(scale), beta, float(N), float(V.coef), d,
             normals.reshape(n_props * C, d), unifs.reshape(-1),
-            sites.reshape(-1), ham, V=general_v)
+            sites.reshape(-1), ham)
         return acc
 
     # burn-in with scale tuning

@@ -13,7 +13,7 @@ from mesogas.grids import Box
 
 @pytest.fixture(scope="session")
 def quad():
-    return Potential("quadratic", 1.0)
+    return Potential(1.0)
 
 
 @pytest.fixture(scope="session")

@@ -68,7 +68,7 @@ def test_config_rejects_bad_values():
         with pytest.raises(ConfigError), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ExperimentConfig.from_json(obj)
-    # the library's tabulated potential needs a table no config can hold
+    # V = coef |x|^2 is the one confinement
     for kind in ("tabulated", "cubic"):
         with pytest.raises(ConfigError, match=(
                 f"^potential.kind='{kind}': must be one of quadratic$")):

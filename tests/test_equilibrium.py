@@ -8,24 +8,29 @@ import pytest
 from mesogas.coulomb import SpaceParams
 from mesogas.equilibrium import (Potential, blowup, check_confining,
                                  solve_thermal, thermal_box)
-from mesogas.grids import Box, GridMeasure, mass
+from mesogas.grids import mass
 
 
 def test_potential_evaluation_and_json():
-    V = Potential("quadratic", 2.0)
+    V = Potential(2.0)
     pts = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     assert np.allclose(V(pts), [2.0, 6.0])
-    obj = V.to_json()
-    assert obj["kind"] == "quadratic"
-    with pytest.raises(ValueError):
-        Potential("cubic", 1.0)
+    assert V.to_json() == {"kind": "quadratic", "coef": 2.0}
+
+
+@pytest.mark.parametrize("coef", [-1.0, 0.0, math.nan, math.inf])
+def test_potential_rejects_a_coef_that_is_not_finite_and_positive(coef):
+    """A negative coef gave a complex equilibrium radius, 0 divided by
+    zero and NaN a NaN radius; each is refused where V is built."""
+    with pytest.raises(ValueError, match="finite and > 0"):
+        Potential(coef)
 
 
 def test_equilibrium_radius_unit_for_unit_quadratic():
-    V = Potential("quadratic", 1.0)
+    V = Potential(1.0)
     assert V.equilibrium_radius(3) == pytest.approx(1.0, rel=1e-12)
     # a stronger trap packs the same mass into a smaller ball
-    assert Potential("quadratic", 2.0).equilibrium_radius(3) < 1.0
+    assert Potential(2.0).equilibrium_radius(3) < 1.0
 
 
 def test_equilibrium_solution_matches_flat_ball_profile(equilibrium16):
@@ -132,8 +137,5 @@ def test_thermal_rejects_bad_arguments(quad):
 
 
 def test_equilibrium_density_is_analytic_for_quadratic_v_only():
-    assert Potential("quadratic", 1.0).equilibrium_density(3) == pytest.approx(
+    assert Potential(1.0).equilibrium_density(3) == pytest.approx(
         3.0 / (4.0 * math.pi), rel=1e-12)
-    table = GridMeasure.uniform(Box.cube(np.zeros(3), 1.0), 4, 1.0)
-    with pytest.raises(ValueError):
-        Potential("tabulated", table=table).equilibrium_density(3)

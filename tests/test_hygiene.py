@@ -394,6 +394,19 @@ def test_the_lp_stack_is_scipys_highs_binding_alone():
         ", ".join(stray)
 
 
+def test_no_module_calls_einsum():
+    """Every squared distance and norm is summed by ``kernels._axis_sum``,
+    in one order on every host; ``np.einsum`` picks its own order, which
+    the pins do not fix."""
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stray += [f"{path.name}:{owner or '<module>'}: {name}"
+                  for owner, name in _references(tree)
+                  if "einsum" in name.split(".")]
+    assert not stray, "einsum named in the package: " + ", ".join(stray)
+
+
 def test_scipys_fft_and_distance_bindings_have_what_the_package_calls():
     """``pypocketfft`` and ``_distance_pybind`` are private to scipy; if an
     upgrade moves what ``GridKernel`` or ``bl_distance`` calls, this names

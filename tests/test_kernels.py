@@ -107,7 +107,7 @@ def test_pair_r2_with_cached_indices_is_bit_identical(n):
 
 
 def _reference_chain(x, scale, beta, nweight, vcoef, d,
-                     normals, unifs, sites, ham_in, V=None):
+                     normals, unifs, sites, ham_in):
     # run_chain_quadratic as it was before it took per-axis distances:
     # particle-major x, np.einsum for every squared distance, and one
     # fancy-indexed gather of the other particles per step
@@ -136,11 +136,8 @@ def _reference_chain(x, scale, beta, nweight, vcoef, d,
                 r2o = np.einsum("cik,cik->ci", diff_old, diff_old)
                 r2n = np.einsum("cik,cik->ci", diff_new, diff_new)
                 dham = 2.0 * np.add.reduce(r2n ** p - r2o ** p, axis=1)
-            if V is None:
-                dham += nweight * vcoef * (kernels._rowdot(new, new)
-                                           - kernels._rowdot(old, old))
-            else:
-                dham += nweight * (V(new) - V(old))
+            dham += nweight * vcoef * (kernels._rowdot(new, new)
+                                       - kernels._rowdot(old, old))
             take = (dham <= 0.0) | (unifs[t] < np.exp(-beta * dham))
             x[chains, i] = np.where(take[:, None], new, old)
             ham += np.where(take, dham, 0.0)
@@ -158,8 +155,8 @@ def test_squared_distances_keep_the_order_the_pins_were_recorded_in(
     docstring means. At d = 3, 4 and 5: the helper is that sum written out
     by hand, and is np.einsum; the chain kernel, which steps on per-axis
     distances, is the einsum kernel it replaced, bit for bit, on random
-    states, steps and potentials at N = 2, 16 and 64, also where its index
-    blocks hold only a few steps each."""
+    states, steps and coefficients at N = 2, 16 and 64, also where its
+    index blocks hold only a few steps each."""
     rng = np.random.default_rng(30)
     for d in (3, 4, 5):
         diff = rng.standard_normal((100000, d)) * rng.uniform(
@@ -171,10 +168,8 @@ def test_squared_distances_keep_the_order_the_pins_were_recorded_in(
         r2 = kernels._axis_sum(s, np.empty(len(diff)))
         assert np.array_equal(r2, by_hand)
         assert np.array_equal(r2, np.einsum("ik,ik->i", diff, diff))
-    quartic = lambda q: np.einsum("ik,ik->i", q, q) ** 2
-    for d, N, V, block in itertools.product(
-            (3, 4, 5), (2, 16, 64), (None, quartic),
-            (kernels.BLOCK_ENTRIES, 64)):
+    for d, N, block in itertools.product(
+            (3, 4, 5), (2, 16, 64), (kernels.BLOCK_ENTRIES, 64)):
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
         C, steps = int(rng.integers(1, 5)), 3 * N
         x = rng.standard_normal((C, N, d))
@@ -185,8 +180,8 @@ def test_squared_distances_keep_the_order_the_pins_were_recorded_in(
                 rng.integers(0, N, steps * C),
                 rng.uniform(-10.0, 10.0, C))
         want_x, got_x = x.copy(), x.copy()
-        want = _reference_chain(want_x, *args, V=V)
-        got = kernels.run_chain_quadratic(got_x, *args, V=V)
+        want = _reference_chain(want_x, *args)
+        got = kernels.run_chain_quadratic(got_x, *args)
         assert np.array_equal(got_x, want_x), (d, N, block)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])

@@ -23,8 +23,7 @@ from mesogas.cli import main
 from mesogas.construction import ConstructionParams, construct
 from mesogas.coulomb import (GridKernel, default_smear_radius, grid_kernel,
                              potential_at_points, potential_field)
-from mesogas.equilibrium import (Potential, solve_equilibrium, solve_thermal,
-                                 thermal_box)
+from mesogas.equilibrium import solve_equilibrium, solve_thermal, thermal_box
 from mesogas.grids import Box, GridMeasure
 from mesogas.rates import ExteriorDomain, blowup_on_domain, phi_rate, t_rate
 from mesogas.sampler import RegimeParams, gibbs_sample
@@ -243,33 +242,24 @@ def test_sweep_chain_pinned(quad):
     assert states[-1].hamiltonian == 7089.39912544931
 
 
-def _quartic(points):
-    return np.einsum("ik,ik->i", points, points) ** 2
-
-
-@pytest.mark.parametrize("N, potential, chain_index, digest", [
-    (1, "quadratic", 7,
+@pytest.mark.parametrize("N, chain_index, digest", [
+    (1, 7,
      "c8ffb48c8da2a2277e874174dfa23600f2314e41110089c34e25f996d6f1dea7"),
-    (1, "quadratic", range(3),
+    (1, range(3),
      "67faf1919a9bf28cee04be2c4275d37ecb0d4d42d4e2025eb30470cc64726d44"),
-    (1, "quartic", 7,
-     "693f34fada4673925a5cbea6627f13bc4d44f5a04137e9616b53acc33a51c462"),
-    (1, "quartic", range(3),
-     "1972b26914b8e664afdd74aef71cb9ebdc11cf9bd1ef8531a03bd1e329564eb6"),
-    (2, "quadratic", range(3),
+    (2, range(3),
      "f20c131d7578a46d6f0b64e3234484e1cb9a7197889637ca1c540d0e7b4fd2e0")],
-    ids=["N1-quadratic", "N1-quadratic-lockstep", "N1-quartic",
-         "N1-quartic-lockstep", "N2-quadratic-lockstep"])
-def test_few_particle_chains_pinned(quad, N, potential, chain_index, digest):
+    ids=["N1-quadratic", "N1-quadratic-lockstep", "N2-quadratic-lockstep"])
+def test_few_particle_chains_pinned(quad, N, chain_index, digest):
     """At N = 1 there are no pairs, nothing to draw a site from, and every
     proposal is a kernel call of its own; N = 2 has one pair and two sites.
     Pinned: the positions, Hamiltonians and acceptance counts of every
-    snapshot, alone and in lockstep, for the quadratic V and a general one."""
+    snapshot, alone and in lockstep."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")    # lambda = 0.1 is exploratory
         params = RegimeParams(N=N, gamma=0.5, lam=0.1)
-    V = quad if potential == "quadratic" else _quartic
-    runs = gibbs_sample(params, V, 3000, 300, seed=5, chain_index=chain_index)
+    runs = gibbs_sample(params, quad, 3000, 300, seed=5,
+                        chain_index=chain_index)
     h = hashlib.sha256()
     for states in [runs] if isinstance(chain_index, int) else runs:
         h.update(np.stack([s.points for s in states]).tobytes())
@@ -298,20 +288,6 @@ def test_four_dimensional_lockstep_chains_pinned(quad):
                         chain_index=range(3))
     assert _lockstep_digest(runs) == (
         "4389127455a4b69629be88c001d11ebd3ae81085599ffa4d9dc42a3c054c3e30")
-
-
-def test_tabulated_potential_chains_pinned(quad):
-    """Two chains of N = 8 under a tabulated V, whose box is small enough
-    that some proposals leave it: V is called on the moving points, not
-    formed from their squared norms."""
-    like = GridMeasure.zeros(Box.cube(np.zeros(3), 1.5), 8)
-    V = Potential("tabulated", table=like.with_density(quad.on_grid(like)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")    # gamma = 0.3 is exploratory
-        params = RegimeParams(N=8, gamma=0.3, lam=0.05)
-    runs = gibbs_sample(params, V, 1600, 400, seed=6, chain_index=range(2))
-    assert _lockstep_digest(runs) == (
-        "5ec927c6123f699fa08fd843aa45a5a432bbe4d053b3d030360a17eb7ff32fb8")
 
 
 @pytest.fixture(scope="module")
